@@ -1,8 +1,8 @@
 """Fault-tolerant fleet sweep: two workers, one killed mid-run.
 
 Demonstrates the lease-based work-stealing layer from docs/fleet.md
-inside a single script: a coordinator-enabled cache server holds the
-sweep's job DAG, two real ``repro worker`` child processes pull leased
+inside a single script: a ``repro serve`` server holds the sweep's
+job DAG, two real ``repro worker`` child processes pull leased
 job batches over HTTP, and one of them is SIGKILLed mid-sweep — no
 drain, no goodbye.  Its leases expire, the surviving worker steals the
 orphaned jobs, and the merged manifest still accounts for every job
@@ -15,10 +15,10 @@ Run from the repo root::
 Equivalent CLI session (with real machines, point --coordinator at the
 coordinator host instead of localhost)::
 
-    repro serve-cache --store sqlite:fleet.db --fleet --port 8765 &
-    repro worker --coordinator http://localhost:8765 &   # per machine
-    repro sweep --fleet http://localhost:8765 --out runs/fleet
-    repro fleet status --coordinator http://localhost:8765
+    repro serve --store sqlite:fleet.db --workers 0 &
+    repro worker --coordinator http://localhost:8766 &   # per machine
+    repro sweep --fleet http://localhost:8766 --out runs/fleet
+    repro fleet status --coordinator http://localhost:8766
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ import time
 
 from repro.core.config import QGDPConfig
 from repro.orchestration import (
-    CacheServer,
     FleetClient,
-    FleetCoordinator,
+    JobService,
     SqliteBackend,
     SweepSpec,
     config_to_dict,
@@ -72,8 +71,9 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as scratch:
         backend = SqliteBackend(f"{scratch}/fleet.db")
-        coordinator = FleetCoordinator(lease_ttl_s=3.0, max_attempts=3)
-        with CacheServer(backend, coordinator=coordinator) as server:
+        with JobService(
+            backend, workers=0, lease_ttl_s=3.0, max_attempts=3
+        ) as server:
             print(f"coordinator: {server.url} (lease TTL 3 s)")
             client = FleetClient(server.url)
             client.enqueue(serialize_graph(plan.graph))

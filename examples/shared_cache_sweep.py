@@ -1,7 +1,7 @@
 """Two "machines", one warm artifact cache: the storage backends demo.
 
 Simulates the docs/storage.md two-machine walkthrough inside a single
-process: a cache server fronts a SQLite store, a first sweeper runs
+process: a ``repro serve`` server fronts a SQLite store, a first sweeper runs
 shard 1/2 against it, a second sweeper runs shard 2/2 — reusing every
 cross-shard artifact (the topology GP, the shared transpilations) the
 first one computed — and a final resume over the full sweep recomputes
@@ -15,10 +15,10 @@ Run from the repo root::
 Equivalent CLI session (with real machines, point --cache-url at the
 cache host instead of localhost)::
 
-    repro serve-cache --store sqlite:shared.db --port 8765 &
-    repro sweep --shard 1/2 --cache-url http://localhost:8765 ...
-    repro sweep --shard 2/2 --cache-url http://localhost:8765 ...
-    repro cache pull dir:.repro_cache http://localhost:8765
+    repro serve --store sqlite:shared.db --workers 0 &
+    repro sweep --shard 1/2 --cache-url http://localhost:8766 ...
+    repro sweep --shard 2/2 --cache-url http://localhost:8766 ...
+    repro cache pull dir:.repro_cache http://localhost:8766
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import tempfile
 
 from repro.core.config import QGDPConfig
 from repro.orchestration import (
-    CacheServer,
+    JobService,
     SqliteBackend,
     SweepSpec,
     TieredStore,
@@ -48,8 +48,8 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as scratch:
         backend = SqliteBackend(f"{scratch}/shared.db")
-        with CacheServer(backend) as server:
-            print(f"cache server: {server.url} serving {backend.describe()}")
+        with JobService(backend, workers=0) as server:
+            print(f"server: {server.url} serving {backend.describe()}")
 
             # "Machine A": shard 1/2, local fast layer over the server.
             store_a = TieredStore(f"dir:{scratch}/machine_a", server.url)

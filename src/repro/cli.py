@@ -11,14 +11,13 @@ Examples::
     python -m repro sweep --topologies grid falcon --seeds 10 --workers 4
     python -m repro sweep --topologies grid falcon --seeds 10 --resume
     python -m repro diff .repro_cache/runs/<run_a> .repro_cache/runs/<run_b>
-    python -m repro serve-cache --store sqlite:shared.db --port 8765
-    python -m repro sweep --cache-url http://cache-host:8765 --resume
+    python -m repro serve --store sqlite:shared.db --workers 0
+    python -m repro sweep --cache-url http://cache-host:8766 --resume
     python -m repro cache stats sqlite:shared.db
     python -m repro cache push dir:.repro_cache sqlite:shared.db
-    python -m repro serve-cache --store sqlite:shared.db --fleet
-    python -m repro worker --coordinator http://cache-host:8765
-    python -m repro sweep --fleet http://cache-host:8765 --seeds 10
-    python -m repro fleet status --coordinator http://cache-host:8765
+    python -m repro worker --coordinator http://cache-host:8766
+    python -m repro sweep --fleet http://cache-host:8766 --seeds 10
+    python -m repro fleet status --coordinator http://cache-host:8766
     python -m repro serve --store sqlite:shared.db --token s3cret --workers 4
     python -m repro submit --service http://job-host:8766 --spec spec.json --wait
     python -m repro status --service http://job-host:8766 run0001-abcd1234
@@ -33,7 +32,7 @@ stdout, job-counter diagnostics to stderr, and — when the cache is enabled
 Artifact caches live behind pluggable storage backends addressed by URL
 (``dir:PATH``, ``sqlite:PATH``, ``http://host:port`` — see
 ``docs/storage.md``): ``--cache-url`` points ``sweep`` / ``tables`` at
-any backend, ``serve-cache`` exposes a local store to a fleet over
+any backend, ``serve`` exposes a local store to a fleet over
 HTTP, and ``cache`` inspects (``stats``), expires (``gc``) and syncs
 (``push`` / ``pull``) stores by content key.
 """
@@ -82,11 +81,9 @@ from repro.orchestration import (
     run_fleet_sweep,
     run_sweep,
     run_worker,
-    serve_cache,
-    serve_jobs,
     sync_stores,
 )
-from repro.orchestration.service import ServiceClient, ServiceError
+from repro.orchestration.service import JobService, ServiceClient, ServiceError
 from repro.topologies import PAPER_TOPOLOGIES, available_topologies, get_topology
 from repro.visualization import render_layout, save_layout_json
 
@@ -347,36 +344,6 @@ def _cmd_cache(args) -> int:
         return 1
 
 
-def _cmd_serve_cache(args) -> int:
-    try:
-        server = serve_cache(
-            args.store,
-            host=args.host,
-            port=args.port,
-            quiet=args.quiet,
-            fleet=args.fleet,
-            lease_ttl_s=args.lease_ttl_s,
-            max_attempts=args.max_attempts,
-            max_body_bytes=args.max_body_mb * 1024 * 1024,
-            socket_timeout_s=args.socket_timeout_s,
-        )
-    except ValueError as exc:
-        print(f"serve-cache: {exc}", file=sys.stderr)
-        return 2
-    fleet_note = " with fleet coordination" if args.fleet else ""
-    print(
-        f"serving {args.store} at {server.url}{fleet_note} (Ctrl-C to stop)",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
 def _cmd_worker(args) -> int:
     try:
         store = _open_cli_store(
@@ -429,15 +396,8 @@ def _cmd_serve(args) -> int:
     env_token = os.environ.get("REPRO_SERVICE_TOKEN")
     if env_token:
         tokens.append(env_token)
-    if not tokens:
-        print(
-            "serve: at least one --token (or REPRO_SERVICE_TOKEN) is "
-            "required — the job service never runs unauthenticated",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        service = serve_jobs(
+        service = JobService(
             args.store,
             tokens,
             host=args.host,
@@ -447,14 +407,17 @@ def _cmd_serve(args) -> int:
             lease_ttl_s=args.lease_ttl_s,
             max_attempts=args.max_attempts,
             quiet=args.quiet,
+            max_body_bytes=args.max_body_mb * 1024 * 1024,
+            socket_timeout_s=args.socket_timeout_s,
         )
     except (StoreError, ValueError) as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
     service.start()
+    auth = f"{len(tokens)} tokens" if tokens else "unauthenticated"
     print(
-        f"serving jobs at {service.url} ({args.workers} workers, "
-        f"{len(tokens)} tokens; Ctrl-C to stop)",
+        f"serving {args.store} at {service.url} ({args.workers} workers, "
+        f"{auth}; Ctrl-C to stop)",
         flush=True,
     )
     try:
@@ -469,10 +432,6 @@ def _cmd_serve(args) -> int:
 
 def _service_client(args) -> ServiceClient:
     token = args.token or os.environ.get("REPRO_SERVICE_TOKEN")
-    if not token:
-        raise ServiceError(
-            "no bearer token: pass --token or set REPRO_SERVICE_TOKEN"
-        )
     return ServiceClient(args.service, token)
 
 
@@ -842,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="URL",
         help="artifact store backend: dir:PATH, sqlite:PATH, or "
-        "http://host:port (a repro serve-cache; combined with "
+        "http://host:port (a repro serve; combined with "
         "--cache-dir it is tiered behind the local directory)",
     )
     tables.add_argument(
@@ -920,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="URL",
         help="artifact store backend: dir:PATH, sqlite:PATH, or "
-        "http://host:port (a repro serve-cache; combined with "
+        "http://host:port (a repro serve; combined with "
         "--cache-dir it is tiered behind the local directory)",
     )
     sweep.add_argument(
@@ -936,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="URL",
         help="run the sweep on a worker fleet: enqueue the job DAG on "
-        "this repro serve-cache --fleet coordinator, watch until the "
+        "this repro serve coordinator, watch until the "
         "workers finish, and merge their completions into one "
         "diff-compatible manifest (see docs/fleet.md)",
     )
@@ -950,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_help = (
         "store URL: dir:PATH (one JSON file per artifact, the "
         ".repro_cache layout), sqlite:PATH (one WAL-mode database "
-        "file), http://host:port (a running repro serve-cache), or a "
+        "file), http://host:port (a running repro serve), or a "
         "bare directory path"
     )
 
@@ -1015,78 +974,11 @@ def build_parser() -> argparse.ArgumentParser:
         sync_parser.add_argument("local", metavar="LOCAL", help=store_help)
         sync_parser.add_argument("remote", metavar="REMOTE", help=store_help)
 
-    serve = sub.add_parser(
-        "serve-cache",
-        help="serve an artifact store to other machines over HTTP",
-        description="Serve a local artifact store (dir: or sqlite:) "
-        "over the tiny JSON protocol RemoteHTTPBackend speaks, so "
-        "sweep machines pointed at it with --cache-url http://HOST:PORT "
-        "share one warm cache.  The server is stdlib-only and "
-        "unauthenticated: bind it to a trusted network.  See "
-        "docs/storage.md for the two-machine walkthrough.",
-    )
-    serve.add_argument(
-        "--store",
-        default="dir:.repro_cache",
-        help=f"{store_help} (default: dir:.repro_cache)",
-    )
-    serve.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address (default 127.0.0.1; 0.0.0.0 exposes to the "
-        "network — do that only on a trusted one)",
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8765,
-        help="bind port (default 8765; 0 picks an ephemeral port, "
-        "printed on startup)",
-    )
-    serve.add_argument(
-        "--quiet", action="store_true", help="suppress per-request logging"
-    )
-    serve.add_argument(
-        "--fleet",
-        action="store_true",
-        help="attach a fleet coordinator: enables the /v1/fleet "
-        "work-stealing endpoints repro worker and repro sweep --fleet "
-        "speak (see docs/fleet.md)",
-    )
-    serve.add_argument(
-        "--lease-ttl-s",
-        type=float,
-        default=60.0,
-        help="seconds a worker may go without a heartbeat before its "
-        "leased jobs are re-queued (default 60)",
-    )
-    serve.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="lease grants per job before it is failed permanently "
-        "(default 3)",
-    )
-    serve.add_argument(
-        "--max-body-mb",
-        type=int,
-        default=64,
-        help="largest accepted request body in MiB; bigger uploads get "
-        "HTTP 413 (default 64)",
-    )
-    serve.add_argument(
-        "--socket-timeout-s",
-        type=float,
-        default=60.0,
-        help="per-connection socket timeout; a stalled client is "
-        "disconnected instead of pinning a handler thread (default 60)",
-    )
-
     worker = sub.add_parser(
         "worker",
         help="pull and execute leased fleet jobs from a coordinator",
         description="Run the pull-execute-heartbeat loop against a "
-        "repro serve-cache --fleet coordinator: lease ready jobs, "
+        "repro serve coordinator: lease ready jobs, "
         "execute them through the standard stage runners, write "
         "artifacts to the shared store, report completions.  SIGTERM "
         "drains gracefully (the in-flight job finishes, unstarted "
@@ -1098,7 +990,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--coordinator",
         required=True,
         metavar="URL",
-        help="the repro serve-cache --fleet URL to pull work from",
+        help="the repro serve URL to pull work from (an unauthenticated "
+        "server: workers send no token)",
     )
     worker.add_argument(
         "--cache-url",
@@ -1147,74 +1040,94 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress per-job progress"
     )
 
-    serve_jobs_parser = sub.add_parser(
+    serve = sub.add_parser(
         "serve",
-        help="multi-tenant job service: accept, schedule and run sweeps",
-        description="Serve placement-as-a-service: authenticated tenants "
-        "submit sweep specs over HTTP (POST /v1/run), a fair scheduler "
-        "multiplexes their runs over one shared worker pool and artifact "
-        "store (overlapping jobs compute once fleet-wide), and results "
-        "stream back incrementally.  Every endpoint requires a bearer "
-        "token.  See docs/service.md.",
+        help="serve artifacts, fleet leases and tenant sweeps over HTTP",
+        description="Serve an artifact store (dir: or sqlite:) over the "
+        "JSON protocol RemoteHTTPBackend speaks, hand out fleet job "
+        "leases to repro worker and repro sweep --fleet, and accept "
+        "sweep submissions (POST /v1/run) that a fair scheduler runs "
+        "over one shared worker pool, streaming results back.  With no "
+        "token the server is unauthenticated: bind it to a trusted "
+        "network.  With tokens every endpoint requires one.  See "
+        "docs/service.md and docs/storage.md.",
     )
-    serve_jobs_parser.add_argument(
+    serve.add_argument(
         "--store",
         default="dir:.repro_cache",
         help=f"{store_help} (default: dir:.repro_cache)",
     )
-    serve_jobs_parser.add_argument(
+    serve.add_argument(
         "--token",
         action="append",
         default=None,
         metavar="SECRET",
         help="accepted bearer token (repeatable: one per tenant; "
-        "REPRO_SERVICE_TOKEN adds one more)",
+        "REPRO_SERVICE_TOKEN adds one more; none = unauthenticated)",
     )
-    serve_jobs_parser.add_argument(
+    serve.add_argument(
         "--host",
         default="127.0.0.1",
-        help="bind address (default 127.0.0.1)",
+        help="bind address (default 127.0.0.1; 0.0.0.0 exposes to the "
+        "network — without a token do that only on a trusted one)",
     )
-    serve_jobs_parser.add_argument(
+    serve.add_argument(
         "--port",
         type=int,
         default=8766,
         help="bind port (default 8766; 0 picks an ephemeral port, "
         "printed on startup)",
     )
-    serve_jobs_parser.add_argument(
+    serve.add_argument(
         "--workers",
         type=int,
         default=2,
-        help="executor threads shared by all tenants (default 2)",
+        help="in-process executor threads shared by all tenants "
+        "(default 2; 0 leaves execution to repro worker processes)",
     )
-    serve_jobs_parser.add_argument(
+    serve.add_argument(
         "--runs-root",
         default=None,
         metavar="DIR",
         help="persist each completed run's results.jsonl + manifest.json "
         "under DIR/<run_id>/ (default: not persisted)",
     )
-    serve_jobs_parser.add_argument(
+    serve.add_argument(
         "--lease-ttl-s",
         type=float,
         default=60.0,
-        help="internal lease TTL for the worker pool (default 60)",
+        help="seconds a worker may go without a heartbeat before its "
+        "leased jobs are re-queued (default 60)",
     )
-    serve_jobs_parser.add_argument(
+    serve.add_argument(
         "--max-attempts",
         type=int,
         default=3,
-        help="attempts per job before it fails permanently (default 3)",
+        help="lease grants per job before it is failed permanently "
+        "(default 3)",
     )
-    serve_jobs_parser.add_argument(
+    serve.add_argument(
+        "--max-body-mb",
+        type=int,
+        default=64,
+        help="largest accepted request body in MiB; bigger uploads get "
+        "HTTP 413 (default 64)",
+    )
+    serve.add_argument(
+        "--socket-timeout-s",
+        type=float,
+        default=60.0,
+        help="per-connection socket timeout; a stalled client is "
+        "disconnected instead of pinning a handler thread (default 60)",
+    )
+    serve.add_argument(
         "--quiet", action="store_true", help="suppress per-request logging"
     )
 
     service_url_help = "the repro serve URL (e.g. http://job-host:8766)"
     token_help = (
         "bearer token (default: the REPRO_SERVICE_TOKEN environment "
-        "variable)"
+        "variable; none for a server started without tokens)"
     )
 
     submit = sub.add_parser(
@@ -1326,7 +1239,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet",
         help="inspect a fleet coordinator's progress and workers",
-        description="Query a repro serve-cache --fleet coordinator's "
+        description="Query a repro serve coordinator's "
         "/v1/fleet/status: per-state job counts, the workers that "
         "reported in, and the tail of the failure ledger (failed "
         "attempts and expired leases).",
@@ -1339,7 +1252,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--coordinator",
         required=True,
         metavar="URL",
-        help="the repro serve-cache --fleet URL to query",
+        help="the repro serve URL to query",
     )
     fleet_status.add_argument(
         "--failures",
@@ -1359,7 +1272,6 @@ _HANDLERS = {
     "sweep": _cmd_sweep,
     "diff": _cmd_diff,
     "cache": _cmd_cache,
-    "serve-cache": _cmd_serve_cache,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
     "status": _cmd_status,

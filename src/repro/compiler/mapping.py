@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import weakref
+
+import networkx as nx
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
@@ -133,14 +136,19 @@ def greedy_mapping(circuit: QuantumCircuit, topology: Topology) -> dict:
     return mapping
 
 
-_PATH_CACHE = {}
+#: graph -> {(a, b): shortest path}.  Keyed on the graph object, so a
+#: graph's paths die with it and a later graph can never read them.
+_PATH_CACHE: "weakref.WeakKeyDictionary[nx.Graph, dict]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def _shortest_path_cache(graph, a: int, b: int) -> list:
     """Memoized shortest path; topology graphs are static per run."""
-    key = (id(graph), a, b)
-    if key not in _PATH_CACHE:
-        import networkx as nx
-
-        _PATH_CACHE[key] = nx.shortest_path(graph, a, b)
-    return _PATH_CACHE[key]
+    paths = _PATH_CACHE.get(graph)
+    if paths is None:
+        paths = _PATH_CACHE[graph] = {}
+    path = paths.get((a, b))
+    if path is None:
+        path = paths[(a, b)] = nx.shortest_path(graph, a, b)
+    return path

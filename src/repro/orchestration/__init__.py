@@ -3,29 +3,29 @@
 The subsystem decomposes a sweep into content-addressed stage jobs
 (:mod:`~repro.orchestration.jobs`), persists stage outputs through an
 artifact store (:mod:`~repro.orchestration.store`) with pluggable
-backends — directory, single-file SQLite, a remote cache server,
-optionally tiered (:mod:`~repro.orchestration.backends`,
-:mod:`~repro.orchestration.cache_server`) — executes the job DAG
-serially or across worker processes with retries and per-attempt
-timeouts (:mod:`~repro.orchestration.executor`), writes JSONL results
-plus a run manifest (:mod:`~repro.orchestration.sink`), and diffs run
-manifests for incremental-sweep workflows
+backends — directory, single-file SQLite, a remote ``repro serve``,
+optionally tiered (:mod:`~repro.orchestration.backends`) — executes
+the job DAG serially or across worker processes with retries and
+per-attempt timeouts (:mod:`~repro.orchestration.executor`), writes
+JSONL results plus a run manifest (:mod:`~repro.orchestration.sink`),
+and diffs run manifests for incremental-sweep workflows
 (:mod:`~repro.orchestration.diff`).  :mod:`~repro.orchestration.sweep`
 ties it together behind :func:`run_sweep`; the evaluation harness and
 the ``repro sweep`` / ``repro tables`` / ``repro diff`` /
-``repro cache`` / ``repro serve-cache`` CLI are thin clients.
+``repro cache`` CLI are thin clients.
 
 For cross-machine fault tolerance, a lease-based work-stealing
-scheduler (:mod:`~repro.orchestration.coordinator`) rides on the cache
+scheduler (:mod:`~repro.orchestration.coordinator`) answers the
 server's ``/v1/fleet`` endpoints, ``repro worker`` processes pull
 leased job batches through :mod:`~repro.orchestration.worker`, and
 :func:`run_fleet_sweep` plans, enqueues and watches a whole fleet
 sweep — with bounded retry/backoff on every remote store call and
 graceful degradation of tiered stores underneath.
 
-On top of all of that sits placement-as-a-service: ``repro serve``
-(:mod:`~repro.orchestration.service`) is an authenticated multi-tenant
-front door that plans submitted sweeps, schedules them fairly over one
+One server carries all of it: ``repro serve``
+(:mod:`~repro.orchestration.service`) serves the artifact store and the
+fleet protocol, and as a multi-tenant front door (authenticated when
+given tokens) plans submitted sweeps, schedules them fairly over one
 shared worker pool (:mod:`~repro.orchestration.scheduler`) and one
 shared store, computes overlapping jobs once fleet-wide, and streams
 per-run results and diff-compatible manifests back over HTTP.  See
@@ -49,7 +49,6 @@ from repro.orchestration.backends import (
     retry_call,
     sync_stores,
 )
-from repro.orchestration.cache_server import CacheServer, serve_cache
 from repro.orchestration.coordinator import (
     FleetClient,
     FleetCoordinator,
@@ -76,7 +75,6 @@ from repro.orchestration.service import (
     ServiceClient,
     ServiceError,
     ServiceToken,
-    serve_jobs,
     spec_from_document,
 )
 from repro.orchestration.sink import RunSink, read_jsonl
@@ -109,7 +107,6 @@ from repro.orchestration.worker import (
 __all__ = [
     "ArtifactEntry",
     "ArtifactStore",
-    "CacheServer",
     "DEFAULT_RETRY_POLICY",
     "DependencyUnavailable",
     "DirBackend",
@@ -161,8 +158,6 @@ __all__ = [
     "run_sweep",
     "run_worker",
     "serialize_graph",
-    "serve_cache",
-    "serve_jobs",
     "spec_from_document",
     "sync_stores",
 ]

@@ -11,14 +11,14 @@ the persistence layer behind it as interchangeable
 * :class:`SqliteBackend` — one WAL-mode SQLite database file holding
   every artifact, safe for concurrent sharded writers and free of the
   100k-inode sprawl a large sweep leaves behind as individual files;
-* :class:`RemoteHTTPBackend` — a client for the tiny JSON protocol
-  ``repro serve-cache`` speaks (see
-  :mod:`repro.orchestration.cache_server`), so machines share one warm
+* :class:`RemoteHTTPBackend` — a client for the artifact routes of the
+  JSON protocol ``repro serve`` speaks (see
+  :mod:`repro.orchestration.service`), so machines share one warm
   cache over the network;
 * :class:`TieredBackend` — a fast local layer over a remote one:
   reads check local first and write remote hits back locally,
   writes go to both, so a fleet of sweep machines behind one
-  ``serve-cache`` converges on warm local caches.
+  ``repro serve`` converges on warm local caches.
 
 Backends move artifacts as **canonical JSON text** (the exact bytes the
 store would write to disk), never re-encoding payloads, so any chain of
@@ -295,10 +295,10 @@ class SqliteBackend(StoreBackend):
     artifact, and WAL journaling with a generous busy timeout makes the
     file safe for concurrent writers **on one host** — several sweep
     processes, sharded ``repro sweep --shard i/n`` runs, or a
-    ``serve-cache`` thread pool all landing on the same local database.
+    ``repro serve`` thread pool all landing on the same local database.
     WAL's shared-memory index does not work across network filesystems,
     so never point two *machines* at one ``sqlite:`` path over NFS —
-    that is exactly what ``repro serve-cache`` over this backend is
+    that is exactly what ``repro serve`` over this backend is
     for.  A single connection guarded by a lock serves each backend
     instance (SQLite serializes writers anyway; the lock keeps one
     instance thread-safe for the HTTP server).
@@ -382,12 +382,12 @@ class SqliteBackend(StoreBackend):
 
 
 class RemoteHTTPBackend(StoreBackend):
-    """Client for the ``repro serve-cache`` JSON protocol.
+    """Client for the artifact routes of the ``repro serve`` protocol.
 
-    The protocol is four verbs on
+    The routes are four verbs on
     ``/v1/artifact/<kind>/<key>`` (GET / HEAD / PUT / DELETE) plus
     ``GET /v1/list``, ``GET /v1/stats`` and ``GET /v1/ping`` — see
-    :mod:`repro.orchestration.cache_server` and ``docs/storage.md``.
+    :mod:`repro.orchestration.service` and ``docs/storage.md``.
     Connection-level failures raise :class:`StoreUnavailable` (a flaky
     server must not silently look like an empty cache); HTTP 404 is the
     one *expected* error and maps to ``None`` / ``False``.
@@ -403,17 +403,12 @@ class RemoteHTTPBackend(StoreBackend):
     Multi-key reads (:meth:`get_many` / :meth:`has_many`) use the
     batched ``POST /v1/artifacts/get`` / ``.../head`` protocol in
     chunks of ``batch_size``, so a fleet resume check over N artifacts
-    costs ``ceil(N / batch_size)`` round trips instead of N.  A server
-    predating the batch endpoints (which answers them 404 — or 400 for
-    the oldest protocol revision) is detected on the first batched call
-    and the backend silently degrades to per-key requests; every
-    degraded multi-key call is counted in ``batch_fallbacks``, and
+    costs ``ceil(N / batch_size)`` round trips instead of N;
     ``requests`` counts HTTP round trips issued (the batch acceptance
     test pins the N → ceil(N/batch) reduction through it).
 
     ``token`` attaches ``Authorization: Bearer <token>`` to every
-    request — required when the server is an authenticated ``repro
-    serve`` service rather than a trusted-network ``serve-cache``.
+    request — required when the server was started with tokens.
     """
 
     def __init__(
@@ -436,8 +431,6 @@ class RemoteHTTPBackend(StoreBackend):
         self._stats_lock = threading.Lock()
         self.transient_failures = 0  # guarded-by: _stats_lock
         self.requests = 0  # guarded-by: _stats_lock — HTTP round trips
-        self.batch_fallbacks = 0  # guarded-by: _stats_lock
-        self._batch_supported: Optional[bool] = None  # guarded-by: _stats_lock
         self._sleep = sleep
         # repro: lint-ignore[RPR001] retry jitter must decorrelate across
         # workers; it never reaches a payload or content key
@@ -541,15 +534,12 @@ class RemoteHTTPBackend(StoreBackend):
 
     def _batch_request(
         self, verb: str, chunk: List[Tuple[str, str]]
-    ) -> Optional[List[object]]:
-        """One batched round trip; None means the server lacks the endpoint.
+    ) -> List[object]:
+        """One batched round trip.
 
         ``verb`` is ``get`` or ``head``; the reply's ``items`` list is
         positional (one entry per requested pair): text-or-null for
-        ``get``, booleans for ``head``.  Legacy servers answer the
-        batch path with 404 (or 400 on the oldest protocol revision,
-        whose POST handler rejected unknown paths wholesale); both mean
-        "fall back to per-key calls", not an error.
+        ``get``, booleans for ``head``.
         """
         body = json.dumps(  # repro: lint-ignore[RPR002] transport body
             {"items": [{"kind": kind, "key": key} for kind, key in chunk]}
@@ -557,8 +547,6 @@ class RemoteHTTPBackend(StoreBackend):
         status, payload = self._request(
             f"{self.base_url}/v1/artifacts/{verb}", method="POST", body=body
         )
-        if status in (400, 404):
-            return None
         if status != 200:
             raise StoreError(
                 f"POST /v1/artifacts/{verb} failed: HTTP {status}"
@@ -574,44 +562,26 @@ class RemoteHTTPBackend(StoreBackend):
     def _many(
         self, verb: str, pairs: Iterable[Tuple[str, str]]
     ) -> Dict[Tuple[str, str], Optional[str]]:
-        """Shared chunking/fallback driver for get_many and has_many.
+        """Shared chunking driver for get_many and has_many.
 
         For ``head`` the per-pair value is the sentinel ``""`` when the
         artifact exists and None when absent (callers map to bool).
         """
         todo = list(pairs)
         out: Dict[Tuple[str, str], Optional[str]] = {}
-        with self._stats_lock:
-            supported = self._batch_supported
-        if supported is not False:
-            while todo:
-                chunk = todo[: self.batch_size]
-                items = self._batch_request(verb, chunk)
-                if items is None:
-                    with self._stats_lock:
-                        self._batch_supported = False
-                    break
-                with self._stats_lock:
-                    self._batch_supported = True
-                for (kind, key), item in zip(chunk, items):
-                    if verb == "head":
-                        out[(kind, key)] = "" if item else None
-                    elif item is None or isinstance(item, str):
-                        out[(kind, key)] = item
-                    else:
-                        raise StoreError(
-                            f"batch get returned a non-text item for "
-                            f"{kind}/{key[:12]}"
-                        )
-                todo = todo[self.batch_size:]
-        if todo:
-            with self._stats_lock:
-                self.batch_fallbacks += 1
-        for kind, key in todo:
-            if verb == "head":
-                out[(kind, key)] = "" if self.has(kind, key) else None
-            else:
-                out[(kind, key)] = self.get_text(kind, key)
+        for start in range(0, len(todo), self.batch_size):
+            chunk = todo[start:start + self.batch_size]
+            items = self._batch_request(verb, chunk)
+            for (kind, key), item in zip(chunk, items):
+                if verb == "head":
+                    out[(kind, key)] = "" if item else None
+                elif item is None or isinstance(item, str):
+                    out[(kind, key)] = item
+                else:
+                    raise StoreError(
+                        f"batch get returned a non-text item for "
+                        f"{kind}/{key[:12]}"
+                    )
         return out
 
     def get_many(
@@ -698,7 +668,7 @@ class TieredBackend(StoreBackend):
         self.local = local
         self.remote = remote
         self.degrade = degrade
-        # The store contract requires thread-safety (serve-cache fronts
+        # The store contract requires thread-safety (repro serve fronts
         # one backend with a threading HTTP server), so the degradation
         # counters are guarded — unsynchronized += would drop counts.
         self._stats_lock = threading.Lock()
@@ -858,7 +828,7 @@ def backend_from_url(url: Union[str, StoreBackend]) -> StoreBackend:
 
     ``dir:PATH`` (or a bare path) opens the directory layout,
     ``sqlite:PATH`` the single-file database, and ``http://`` /
-    ``https://`` a remote ``repro serve-cache``.  An already-constructed
+    ``https://`` a remote ``repro serve``.  An already-constructed
     backend passes through unchanged, so APIs can accept either form.
     """
     if isinstance(url, StoreBackend):

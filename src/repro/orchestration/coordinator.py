@@ -8,8 +8,8 @@ small leased batches, and the coordinator re-queues any job whose lease
 expires without a heartbeat — a dead or hung worker costs one lease TTL,
 not the sweep.
 
-The protocol (served by ``repro serve-cache --fleet`` next to the
-artifact endpoints; see :mod:`repro.orchestration.cache_server`):
+The protocol (served by ``repro serve`` next to the artifact
+endpoints; see :mod:`repro.orchestration.service`):
 
 =====================================  ====================================
 ``POST /v1/fleet/enqueue``             register a job DAG (idempotent)
@@ -273,6 +273,39 @@ class FleetCoordinator:
                 granted.append(job)
         return granted
 
+    def _check_rows(self, jobs: List[dict]) -> None:  # holds: _lock
+        """Raise ValueError on the first malformed row; mutates nothing."""
+        if not isinstance(jobs, list):
+            raise ValueError("jobs must be a list of job rows")
+        seen = set()
+        for row in jobs:
+            if not isinstance(row, dict):
+                raise ValueError(f"job row must be an object, got {row!r}")
+            key, kind = row.get("key"), row.get("kind")
+            if not (isinstance(key, str) and isinstance(kind, str)):
+                raise ValueError("job row needs string 'key' and 'kind'")
+            name = f"job {kind}:{key[:12]}"
+            deps = row.get("deps", [])
+            dep_kinds = row.get("dep_kinds")
+            if not isinstance(row.get("params", {}), dict):
+                raise ValueError(f"{name} params must be an object")
+            if not isinstance(deps, list) or not all(
+                isinstance(dep, str) for dep in deps
+            ):
+                raise ValueError(f"{name} deps must be a list of keys")
+            if dep_kinds is not None and not (
+                isinstance(dep_kinds, list) and len(dep_kinds) == len(deps)
+            ):
+                raise ValueError(f"{name} dep_kinds must match its deps")
+            if key not in self._jobs:
+                for dep in deps:
+                    if dep not in self._jobs and dep not in seen:
+                        raise ValueError(
+                            f"{name} depends on unknown job {dep[:12]} "
+                            "(enqueue DAGs in topological order)"
+                        )
+            seen.add(key)
+
     # -- the five fleet verbs ---------------------------------------------
     def enqueue(self, jobs: List[dict]) -> dict:
         """Register a job DAG; idempotent by content key.
@@ -280,9 +313,12 @@ class FleetCoordinator:
         ``jobs`` are :func:`serialize_graph` rows in topological order
         (dependencies must appear before dependents, or already be
         known).  Jobs already registered are skipped — two submitters
-        enqueueing overlapping DAGs share the overlap's work.
+        enqueueing overlapping DAGs share the overlap's work.  The batch
+        is all-or-nothing: a malformed row raises ValueError before any
+        row is registered.
         """
         with self._lock:
+            self._check_rows(jobs)
             accepted = known = resurrected = 0
             for row in jobs:
                 key = row["key"]
@@ -310,13 +346,6 @@ class FleetCoordinator:
                         known += 1
                     continue
                 deps = list(row.get("deps", ()))
-                for dep in deps:
-                    if dep not in self._jobs:
-                        raise ValueError(
-                            f"job {row['kind']}:{key[:12]} depends on "
-                            f"unknown job {dep[:12]} (enqueue DAGs in "
-                            "topological order)"
-                        )
                 job = _FleetJob(
                     kind=row["kind"],
                     key=key,
@@ -551,13 +580,14 @@ class FleetClient:
     """HTTP client for the coordinator protocol (stdlib only).
 
     The five verbs of :class:`FleetCoordinator`, JSON over HTTP against
-    a ``repro serve-cache --fleet`` server, with the same bounded
+    a ``repro serve`` server, with the same bounded
     retry/backoff policy remote stores use — a worker briefly unable to
     reach the coordinator backs off and retries instead of dying.
     Connection-level failures raise
     :class:`~repro.orchestration.backends.StoreUnavailable` once the
-    budget is exhausted; protocol errors (a server without ``--fleet``,
-    a malformed request) raise :class:`FleetError` immediately.
+    budget is exhausted; protocol errors (a malformed request, or a
+    server started with tokens: this client sends none) raise
+    :class:`FleetError` immediately.
     """
 
     def __init__(

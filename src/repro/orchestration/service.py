@@ -1,20 +1,30 @@
-"""``repro serve``: placement-as-a-service over the shared fleet stack.
+"""``repro serve``: the one HTTP server for artifacts, fleet work and runs.
 
-The cache server gives the fleet a shared artifact store and the
-coordinator gives it lease-based execution, but a client still has to
-own the process pool.  The job service is the missing front door: one
-process that accepts sweep submissions from many authenticated tenants,
-schedules them fairly over one shared worker pool
+One process serves an artifact store to sweep machines and workers,
+hands out fleet job leases, and accepts sweep submissions from many
+tenants, scheduling them fairly over one shared worker pool
 (:class:`~repro.orchestration.scheduler.FairScheduler`) and one shared
-store, and streams each run's results back incrementally.  Because
+store and streaming each run's results back incrementally.  Because
 jobs are content-addressed, overlapping submissions from different
 tenants compute the overlap **once** fleet-wide — each run's manifest
 charges a shared job as ``computed`` to exactly one tenant and
 ``cached`` to every other, so the counters add up across tenants.
 
-The HTTP protocol (everything the cache server speaks, plus):
+The protocol is JSON over HTTP:
 
 =====================================  ==================================
+``GET    /v1/artifact/<kind>/<key>``   canonical JSON text, or 404
+``HEAD   /v1/artifact/<kind>/<key>``   existence probe (200 / 404)
+``PUT    /v1/artifact/<kind>/<key>``   store the request body (JSON)
+``DELETE /v1/artifact/<kind>/<key>``   remove one artifact (204 / 404)
+``POST   /v1/artifacts/get``           batched GET: ``{"items": [...]}``
+``POST   /v1/artifacts/head``          batched HEAD (items are booleans)
+``GET    /v1/list``                    ``{"entries": [{kind,key,size,mtime}]}``
+``GET    /v1/stats``                   ``{"entries": N, "bytes": M}``
+``GET    /v1/ping``                    ``{"ok": true, "store": "<url>", ...}``
+``POST   /v1/fleet/<verb>``            enqueue / lease / heartbeat /
+                                       complete / withdraw
+``GET    /v1/fleet/status``            fleet progress counters + ledgers
 ``POST   /v1/run``                     submit a sweep → ``{"run_id"}``
 ``GET    /v1/run/<id>``                status: counts, state, failures
 ``GET    /v1/run/<id>/results``        result rows (``?after=N`` resumes)
@@ -22,14 +32,25 @@ The HTTP protocol (everything the cache server speaks, plus):
 ``DELETE /v1/run/<id>``                cancel the run's queued jobs
 =====================================  ==================================
 
-**Every** endpoint — including the inherited artifact and fleet routes —
-requires ``Authorization: Bearer <token>``; tokens are compared in
-constant time (:func:`hmac.compare_digest`, all tokens always checked)
-and may carry an expiry.  A request without a valid live token gets
-``401 {"error": "unauthorized"}`` and nothing else — no path echo, no
-hint which part failed.  The trusted-network ``repro serve-cache``
-stays unauthenticated; run the service when the network isn't trusted
-or tenants must be told apart.
+Artifact text passes through verbatim — the server never re-encodes
+payloads — so a cache populated over HTTP is byte-identical to one the
+same backend would have written locally.  The batched routes answer
+one round trip per :attr:`~repro.orchestration.backends
+.RemoteHTTPBackend.batch_size` chunk of keys (reply ``items`` are
+positional).  The fleet routes speak the
+:class:`~repro.orchestration.coordinator.FleetCoordinator` protocol;
+the fair scheduler grants jobs that belong to no run (``repro sweep
+--fleet`` DAGs) in the coordinator's own order, so external ``repro
+worker`` processes and the in-process pool share one queue.
+
+With no tokens configured the server is unauthenticated: serve it on a
+trusted network only.  With tokens configured **every** route requires
+``Authorization: Bearer <token>``; tokens are compared in constant time
+(:func:`hmac.compare_digest`, all tokens always checked) and may carry
+an expiry.  A request without a valid live token gets ``401 {"error":
+"unauthorized"}`` and nothing else — no path echo, no hint which part
+failed.  A request-body cap (HTTP 413) and a per-connection socket
+timeout keep abusive or stalled clients from pinning handler threads.
 
 Submissions are :class:`~repro.orchestration.sweep.SweepSpec` documents
 (or the single-flow shorthand ``{"topology", "benchmark", "engine"}``);
@@ -39,7 +60,7 @@ are bit-identical to a serial :func:`~repro.orchestration.sweep
 .run_sweep` of the same spec.  Completed runs are persisted under
 ``<runs_root>/<run_id>/`` as ``results.jsonl`` + ``manifest.json``,
 the same layout every other run producer writes (``repro diff`` reads
-them directly).  See ``docs/service.md``.
+them directly).  See ``docs/service.md`` and ``docs/storage.md``.
 """
 
 from __future__ import annotations
@@ -54,20 +75,24 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.orchestration.backends import StoreBackend
-from repro.orchestration.cache_server import CacheServer, _CacheRequestHandler
 from repro.orchestration.coordinator import LocalFleetClient, serialize_graph
 from repro.orchestration.executor import RunStats
 from repro.orchestration.scheduler import FairScheduler
 from repro.orchestration.sink import RunSink
+from repro.orchestration.stages import config_from_dict, noise_from_dict
 from repro.orchestration.store import ArtifactStore
 from repro.orchestration.sweep import SweepSpec, plan_sweep
 from repro.orchestration.worker import run_worker
 
 #: The states a run can report; terminal ones end a client's polling.
 TERMINAL_RUN_STATES = ("done", "failed", "cancelled")
+
+#: The tenant every request belongs to when no tokens are configured.
+ANONYMOUS_TENANT = "anonymous"
 
 #: Fields a submitted spec document may carry (SweepSpec's surface).
 _SPEC_FIELDS = (
@@ -82,21 +107,43 @@ _SPEC_FIELDS = (
 )
 
 #: Fields of the single-flow shorthand.
-_FLOW_FIELDS = (
-    "topology",
-    "benchmark",
-    "engine",
-    "num_seeds",
-    "base_seed",
-    "detailed",
-    "config",
-    "noise",
-)
+_FLOW_FIELDS = ("topology", "benchmark", "engine") + _SPEC_FIELDS[3:]
 
 _RUN_ID_PATTERN = r"[A-Za-z0-9][A-Za-z0-9_.-]*"
 _RUN_PATH = re.compile(rf"^/v1/run/({_RUN_ID_PATTERN})$")
 _RESULTS_PATH = re.compile(rf"^/v1/run/({_RUN_ID_PATTERN})/results$")
 _MANIFEST_PATH = re.compile(rf"^/v1/run/({_RUN_ID_PATTERN})/manifest$")
+
+#: kind / key path segments must be plain tokens — this is what keeps a
+#: DirBackend-backed server inside its root (no separators, no dotfiles).
+_SAFE_SEGMENT = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+
+#: Refuse absurd request bodies rather than buffering them (64 MiB).
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Default per-connection socket timeout: a client that stops sending
+#: mid-request is disconnected instead of pinning a handler thread.
+DEFAULT_SOCKET_TIMEOUT_S = 60.0
+
+#: Refuse batch requests larger than any sane client chunk — the
+#: shipped client never sends more than its ``batch_size`` (default
+#: 128), so this only trips hand-rolled abuse.
+MAX_BATCH_ITEMS = 4096
+
+#: POST routes of the fleet protocol → coordinator verb.
+_FLEET_VERBS = {
+    "/v1/fleet/enqueue": "enqueue",
+    "/v1/fleet/lease": "lease",
+    "/v1/fleet/heartbeat": "heartbeat",
+    "/v1/fleet/complete": "complete",
+    "/v1/fleet/withdraw": "withdraw",
+}
+
+#: POST routes of the batched artifact protocol → verb.
+_BATCH_VERBS = {
+    "/v1/artifacts/get": "get",
+    "/v1/artifacts/head": "head",
+}
 
 
 class ServiceError(RuntimeError):
@@ -124,7 +171,9 @@ def spec_from_document(document: dict) -> SweepSpec:
     / ``engines`` lists plus the optional seed/config fields) or the
     single-flow shorthand (``topology`` / ``benchmark`` / ``engine``
     strings).  Unknown fields are rejected so a typo like ``topologys``
-    fails loudly instead of silently running the defaults.
+    fails loudly instead of silently running the defaults, and
+    ``config`` / ``noise`` must parse as the objects the stage runners
+    rebuild, so a bad one fails the submission, not every planned job.
     """
     if not isinstance(document, dict):
         raise ValueError("submission must be a JSON object")
@@ -137,24 +186,45 @@ def spec_from_document(document: dict) -> SweepSpec:
         for name in ("topology", "benchmark", "engine"):
             if name not in document:
                 raise ValueError(f"flow submission is missing {name!r}")
-        translated = {
+        fields: dict = {
             "topologies": (document["topology"],),
             "benchmarks": (document["benchmark"],),
             "engines": (document["engine"],),
         }
-        for name in ("num_seeds", "base_seed", "detailed", "config", "noise"):
-            if name in document:
-                translated[name] = document[name]
-        return SweepSpec(**translated)
-    unknown = set(document) - set(_SPEC_FIELDS)
-    if unknown:
-        raise ValueError(
-            f"unknown spec fields: {', '.join(sorted(unknown))}"
+        fields.update(
+            (name, document[name])
+            for name in _SPEC_FIELDS[3:]
+            if name in document
         )
-    for name in ("topologies", "benchmarks", "engines"):
-        if not document.get(name):
-            raise ValueError(f"spec is missing {name!r}")
-    return SweepSpec(**{k: document[k] for k in _SPEC_FIELDS if k in document})
+    else:
+        unknown = set(document) - set(_SPEC_FIELDS)
+        if unknown:
+            raise ValueError(
+                f"unknown spec fields: {', '.join(sorted(unknown))}"
+            )
+        for name in ("topologies", "benchmarks", "engines"):
+            if not document.get(name):
+                raise ValueError(f"spec is missing {name!r}")
+        fields = {k: document[k] for k in _SPEC_FIELDS if k in document}
+    parsers = {"config": config_from_dict, "noise": noise_from_dict}
+    for name, parse in parsers.items():
+        if name not in fields:
+            continue
+        if not isinstance(fields[name], dict):
+            raise ValueError(f"{name} must be a JSON object")
+        parse(fields[name])
+    return SweepSpec(**fields)
+
+
+def _parse_artifact_path(path: str) -> Optional[Tuple[str, str]]:
+    """``/v1/artifact/<kind>/<key>`` → ``(kind, key)``, else ``None``."""
+    parts = path.split("/")
+    if len(parts) != 5 or parts[:3] != ["", "v1", "artifact"]:
+        return None
+    kind, key = urllib.parse.unquote(parts[3]), urllib.parse.unquote(parts[4])
+    if not (_SAFE_SEGMENT.match(kind) and _SAFE_SEGMENT.match(key)):
+        return None
+    return kind, key
 
 
 @dataclass
@@ -171,46 +241,174 @@ class _ServiceRun:
     persisted: bool = False  # guarded-by: _runs_lock
 
 
-class _ServiceRequestHandler(_CacheRequestHandler):
-    """The cache-server protocol plus ``/v1/run``, all behind auth."""
+class _RequestHandler(BaseHTTPRequestHandler):
+    """Every route of the protocol, each behind the one auth check."""
 
     server_version = "repro-service/1.0"
+    protocol_version = "HTTP/1.1"
+    server: "_HTTPServer"
 
+    # -- plumbing ---------------------------------------------------------
     @property
     def service(self) -> "JobService":
         return self.server.service
 
-    def _tenant(self) -> Optional[str]:
-        """The tenant of a valid live bearer token, else None."""
-        header = self.headers.get("Authorization") or ""
-        if not header.startswith("Bearer "):
+    @property
+    def backend(self) -> StoreBackend:
+        return self.service.backend
+
+    def setup(self) -> None:
+        # Per-connection socket timeout: handle_one_request treats a
+        # timed-out read as "close the connection", so a stalled client
+        # releases its handler thread instead of wedging it.
+        self.timeout = self.service.socket_timeout_s
+        BaseHTTPRequestHandler.setup(self)
+
+    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
+        if not self.service.quiet:
+            BaseHTTPRequestHandler.log_message(self, format, *args)
+
+    def _send(self, status: int, body: bytes = b"",
+              content_type: str = "application/json") -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        if body and self.command != "HEAD":
+            self.wfile.write(body)
+
+    def _send_json(self, status: int, document: dict) -> None:
+        # repro: lint-ignore[RPR002] protocol responses are transport;
+        # artifact payload bytes pass through _send verbatim, unsorted
+        self._send(status, json.dumps(document).encode("utf-8"))
+
+    def _bad_request(self, message: str) -> None:
+        self._send_json(400, {"error": message})
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, bounded; sends the error response on None.
+
+        Enforces the service's ``max_body_bytes`` (HTTP 413) alongside
+        the missing/negative Content-Length rejections, so a handler
+        thread never buffers an absurd upload or blocks forever on a
+        length the client will never send.
+        """
+        try:
+            length = int(self.headers.get("Content-Length", ""))
+        except ValueError:
+            self._bad_request("missing Content-Length")
             return None
-        return self.service.authenticate(header[len("Bearer "):])
+        if length < 0:
+            # read(-1) would block on the socket until the client
+            # hangs up — refuse instead of tying up a handler thread.
+            self._bad_request("negative Content-Length")
+            return None
+        limit = self.service.max_body_bytes
+        if length > limit:
+            self._send_json(
+                413,
+                {
+                    "error": f"body of {length} bytes exceeds the "
+                    f"server limit of {limit}"
+                },
+            )
+            return None
+        return self.rfile.read(length)
 
-    def _reject(self) -> None:
-        # Exactly this body on every auth failure: no path echo, no
-        # missing-vs-wrong-vs-expired distinction to probe.
-        self._send_json(401, {"error": "unauthorized"})
+    def _read_object(self) -> Optional[dict]:
+        """The body as a JSON object; sends the error response on None."""
+        body = self._read_body()
+        if body is None:
+            return None
+        try:
+            document = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError):
+            document = None
+        if not isinstance(document, dict):
+            self._bad_request("body is not a JSON object")
+            return None
+        return document
 
-    def _unknown_run(self) -> None:
-        self._send_json(404, {"error": "unknown run"})
+    def _artifact_or_400(self) -> Optional[Tuple[str, str]]:
+        located = _parse_artifact_path(self.path)
+        if located is None:
+            self._bad_request(f"unrecognized path {self.path!r}")
+        return located
+
+    def _run_reply(self, call: Callable[..., dict], *args: object) -> None:
+        """Answer a per-run query; an unknown run id is a 404."""
+        try:
+            document = call(*args)
+        except ValueError:
+            self._send_json(404, {"error": "unknown run"})
+        else:
+            self._send_json(200, document)
+
+    # -- the auth gate ----------------------------------------------------
+    def _dispatch(self, route: Callable[[str], None]) -> None:
+        header = self.headers.get("Authorization") or ""
+        scheme, _, secret = header.partition(" ")
+        tenant = self.service.authenticate(
+            secret if scheme == "Bearer" else None
+        )
+        if tenant is None:
+            # Exactly this body on every auth failure: no path echo, no
+            # missing-vs-wrong-vs-expired distinction to probe.
+            self._send_json(401, {"error": "unauthorized"})
+            return
+        route(tenant)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        tenant = self._tenant()
-        if tenant is None:
-            self._reject()
-            return
+        self._dispatch(self._get)
+
+    def do_HEAD(self) -> None:  # noqa: N802
+        self._dispatch(self._head)
+
+    def do_PUT(self) -> None:  # noqa: N802
+        self._dispatch(self._put)
+
+    def do_POST(self) -> None:  # noqa: N802
+        self._dispatch(self._post)
+
+    def do_DELETE(self) -> None:  # noqa: N802
+        self._dispatch(self._delete)
+
+    # -- routes -----------------------------------------------------------
+    def _get(self, _tenant: str) -> None:
         parsed = urllib.parse.urlsplit(self.path)
-        matched = _RUN_PATH.match(parsed.path)
-        if matched:
-            try:
-                document = self.service.run_status(matched.group(1))
-            except ValueError:
-                self._unknown_run()
-            else:
-                self._send_json(200, document)
+        path = parsed.path
+        if path == "/v1/ping":
+            self._send_json(
+                200,
+                {"ok": True, "store": self.backend.describe(), "fleet": True},
+            )
             return
-        matched = _RESULTS_PATH.match(parsed.path)
+        if path == "/v1/fleet/status":
+            self._send_json(200, self.service.scheduler.status())
+            return
+        if path == "/v1/list":
+            entries = [
+                {"kind": e.kind, "key": e.key, "size": e.size,
+                 "mtime": e.mtime}
+                for e in self.backend.entries()
+            ]
+            self._send_json(200, {"entries": entries})
+            return
+        if path == "/v1/stats":
+            entries = self.backend.entries()
+            self._send_json(
+                200,
+                {
+                    "entries": len(entries),
+                    "bytes": sum(e.size for e in entries),
+                },
+            )
+            return
+        matched = _RUN_PATH.match(path)
+        if matched:
+            self._run_reply(self.service.run_status, matched.group(1))
+            return
+        matched = _RESULTS_PATH.match(path)
         if matched:
             query = urllib.parse.parse_qs(parsed.query)
             try:
@@ -221,37 +419,59 @@ class _ServiceRequestHandler(_CacheRequestHandler):
             if after < 0:
                 self._bad_request("after must be >= 0")
                 return
-            try:
-                document = self.service.run_results(matched.group(1), after)
-            except ValueError:
-                self._unknown_run()
-            else:
-                self._send_json(200, document)
+            self._run_reply(self.service.run_results, matched.group(1), after)
             return
-        matched = _MANIFEST_PATH.match(parsed.path)
+        matched = _MANIFEST_PATH.match(path)
         if matched:
-            try:
-                document = self.service.run_manifest(matched.group(1))
-            except ValueError:
-                self._unknown_run()
-            else:
-                self._send_json(200, document)
+            self._run_reply(self.service.run_manifest, matched.group(1))
             return
-        _CacheRequestHandler.do_GET(self)
+        located = self._artifact_or_400()
+        if located is None:
+            return
+        text = self.backend.get_text(*located)
+        if text is None:
+            self._send_json(404, {"error": "not found"})
+            return
+        self._send(200, text.encode("utf-8"))
 
-    def do_POST(self) -> None:  # noqa: N802
-        tenant = self._tenant()
-        if tenant is None:
-            self._reject()
+    def _head(self, _tenant: str) -> None:
+        located = self._artifact_or_400()
+        if located is not None:
+            self._send(200 if self.backend.has(*located) else 404)
+
+    def _put(self, _tenant: str) -> None:
+        located = self._artifact_or_400()
+        if located is None:
             return
+        body = self._read_body()
+        if body is None:
+            return
+        try:
+            text = body.decode("utf-8")
+            json.loads(text)  # validate only; stored verbatim
+        except (UnicodeDecodeError, ValueError):
+            self._bad_request("body is not valid JSON")
+            return
+        self.backend.put_text(*located, text)
+        self._send(204)
+
+    def _delete(self, _tenant: str) -> None:
+        matched = _RUN_PATH.match(self.path)
+        if matched:
+            self._run_reply(self.service.cancel, matched.group(1))
+            return
+        located = self._artifact_or_400()
+        if located is None:
+            return
+        if self.backend.delete(*located):
+            self._send(204)
+        else:
+            self._send_json(404, {"error": "not found"})
+
+    def _post(self, tenant: str) -> None:
         if self.path == "/v1/run":
-            body = self._read_body()
-            if body is None:
-                return
-            try:
-                document = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                self._bad_request("body is not valid JSON")
+            document = self._read_object()
+            if document is None:
                 return
             try:
                 reply = self.service.submit(document, tenant)
@@ -260,46 +480,95 @@ class _ServiceRequestHandler(_CacheRequestHandler):
                 return
             self._send_json(200, reply)
             return
-        _CacheRequestHandler.do_POST(self)
+        batch_verb = _BATCH_VERBS.get(self.path)
+        if batch_verb is not None:
+            self._post_batch(batch_verb)
+            return
+        verb = _FLEET_VERBS.get(self.path)
+        if verb is None:
+            self._bad_request(f"unrecognized path {self.path!r}")
+            return
+        document = self._read_object()
+        if document is None:
+            return
+        scheduler = self.service.scheduler
+        try:
+            if verb == "enqueue":
+                reply = scheduler.enqueue(document["jobs"])
+            elif verb == "lease":
+                reply = scheduler.lease(
+                    document["worker"], int(document.get("max_jobs", 1))
+                )
+            elif verb == "heartbeat":
+                reply = scheduler.heartbeat(document["worker"])
+            elif verb == "withdraw":
+                reply = scheduler.withdraw(document["keys"])
+            else:  # complete
+                reply = scheduler.complete(
+                    document["worker"],
+                    document["key"],
+                    document["status"],
+                    error=document.get("error"),
+                )
+        except (KeyError, TypeError, ValueError) as exc:
+            self._bad_request(f"invalid fleet request: {exc}")
+            return
+        self._send_json(200, reply)
 
-    def do_DELETE(self) -> None:  # noqa: N802
-        tenant = self._tenant()
-        if tenant is None:
-            self._reject()
+    def _post_batch(self, verb: str) -> None:
+        """Batched multi-key artifact reads (``/v1/artifacts/get|head``)."""
+        document = self._read_object()
+        if document is None:
             return
-        matched = _RUN_PATH.match(self.path)
-        if matched:
-            try:
-                reply = self.service.cancel(matched.group(1))
-            except ValueError:
-                self._unknown_run()
-            else:
-                self._send_json(200, reply)
+        items = document.get("items")
+        if not isinstance(items, list):
+            self._bad_request("body is not {\"items\": [...]}")
             return
-        _CacheRequestHandler.do_DELETE(self)
+        if len(items) > MAX_BATCH_ITEMS:
+            self._bad_request(
+                f"batch of {len(items)} items exceeds the server "
+                f"limit of {MAX_BATCH_ITEMS}"
+            )
+            return
+        pairs = []
+        for item in items:
+            if not isinstance(item, dict):
+                self._bad_request("each item must be {\"kind\", \"key\"}")
+                return
+            kind, key = str(item.get("kind", "")), str(item.get("key", ""))
+            if not (_SAFE_SEGMENT.match(kind) and _SAFE_SEGMENT.match(key)):
+                self._bad_request(f"invalid kind/key {kind!r}/{key!r}")
+                return
+            pairs.append((kind, key))
+        if verb == "head":
+            found = self.backend.has_many(pairs)
+        else:
+            found = self.backend.get_many(pairs)
+        self._send_json(200, {"items": [found[pair] for pair in pairs]})
 
-    def do_HEAD(self) -> None:  # noqa: N802
-        if self._tenant() is None:
-            self._reject()
-            return
-        _CacheRequestHandler.do_HEAD(self)
 
-    def do_PUT(self) -> None:  # noqa: N802
-        if self._tenant() is None:
-            self._reject()
-            return
-        _CacheRequestHandler.do_PUT(self)
+class _HTTPServer(ThreadingHTTPServer):
+    """The stdlib threading server, bound to the service it fronts."""
+
+    daemon_threads = True
+
+    def __init__(
+        self, address: Tuple[str, int], service: "JobService"
+    ) -> None:
+        self.service = service
+        super().__init__(address, _RequestHandler)
 
 
 class JobService:
-    """A running multi-tenant job service (embeddable; used by the CLI).
+    """The running server: artifacts, fleet leases and tenant runs.
 
-    Owns the HTTP front door (a :class:`~repro.orchestration
-    .cache_server.CacheServer` with the service handler), the
-    :class:`~repro.orchestration.scheduler.FairScheduler`, and a pool
-    of in-process worker threads pulling from it through
-    :class:`~repro.orchestration.coordinator.LocalFleetClient`.  Binds
-    on construction (``port=0`` → ephemeral, read back from
+    Owns the HTTP front door, the :class:`~repro.orchestration
+    .scheduler.FairScheduler` behind its fleet and run routes, and a
+    pool of ``workers`` in-process worker threads pulling from that
+    scheduler through :class:`~repro.orchestration.coordinator
+    .LocalFleetClient`.  ``workers=0`` executes nothing in-process:
+    runs queue until external ``repro worker`` processes lease them.
+    Binds on construction (``port=0`` → ephemeral, read back from
     :attr:`url`); serves and executes after :meth:`start`.  Usable as a
     context manager::
 
@@ -309,17 +578,19 @@ class JobService:
             run = client.submit({"topologies": [...], ...})
             client.wait(run["run_id"])
 
-    ``store`` may be a store URL, a backend, or an
-    :class:`~repro.orchestration.store.ArtifactStore`; it must persist
-    through a backend (the HTTP artifact endpoints serve it).  A store
-    the service opened from a URL/backend is closed on :meth:`stop`; a
-    caller-supplied :class:`ArtifactStore` stays open for the caller.
+    With no ``tokens`` every route is open (trusted networks only) and
+    every run belongs to :data:`ANONYMOUS_TENANT`.  ``store`` may be a
+    store URL, a backend, or an :class:`~repro.orchestration.store
+    .ArtifactStore`; it must persist through a backend, which the HTTP
+    artifact routes serve as :attr:`backend`.  A store the service opened from a URL
+    is closed on :meth:`stop`; a caller-supplied backend or store stays
+    open for the caller.
     """
 
     def __init__(
         self,
         store: Union[str, StoreBackend, ArtifactStore],
-        tokens: Iterable[Union[str, ServiceToken]],
+        tokens: Iterable[Union[str, ServiceToken]] = (),
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
@@ -329,28 +600,17 @@ class JobService:
         poll_s: float = 0.05,
         quiet: bool = True,
         clock: Callable[[], float] = time.monotonic,
+        max_body_bytes: int = MAX_BODY_BYTES,
+        socket_timeout_s: Optional[float] = DEFAULT_SOCKET_TIMEOUT_S,
     ) -> None:
-        # workers=0 is the front-door-only mode: submissions queue but
-        # nothing executes until workers attach — the acceptance tests
-        # use it to pin queue-state semantics deterministically.
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        normalized: List[ServiceToken] = []
-        for index, token in enumerate(tokens):
-            if isinstance(token, ServiceToken):
-                normalized.append(token)
-            else:
-                normalized.append(
-                    ServiceToken(secret=token, tenant=f"tenant{index + 1}")
-                )
-        if not normalized:
-            raise ValueError(
-                "at least one bearer token is required — the service "
-                "never runs unauthenticated (use serve-cache on a "
-                "trusted network instead)"
-            )
-        self._tokens = tuple(normalized)
-        self._owns_store = not isinstance(store, ArtifactStore)
+        self._tokens = tuple(
+            token if isinstance(token, ServiceToken)
+            else ServiceToken(secret=token, tenant=f"tenant{index + 1}")
+            for index, token in enumerate(tokens)
+        )
+        self._owns_store = isinstance(store, str)
         if isinstance(store, ArtifactStore):
             self.store = store
         elif isinstance(store, StoreBackend):
@@ -362,23 +622,20 @@ class JobService:
                 "the service store must persist through a backend "
                 "(the HTTP artifact endpoints serve it)"
             )
+        self.backend: StoreBackend = self.store.backend
         self._clock = clock
         self.runs_root = runs_root
         self.workers = workers
         self.poll_s = poll_s
+        self.quiet = quiet
+        self.max_body_bytes = max_body_bytes
+        self.socket_timeout_s = socket_timeout_s
         self.scheduler = FairScheduler(
             lease_ttl_s=lease_ttl_s, max_attempts=max_attempts, clock=clock
         )
-        self._cache = CacheServer(
-            self.store.backend,
-            host=host,
-            port=port,
-            quiet=quiet,
-            coordinator=self.scheduler,
-            handler_class=_ServiceRequestHandler,
-        )
-        self._cache._httpd.service = self
-        self.host, self.port = self._cache.host, self._cache.port
+        self._httpd = _HTTPServer((host, port), self)
+        self.host, self.port = self._httpd.server_address[:2]
+        self._serving: Optional[threading.Thread] = None
         self._runs: Dict[str, _ServiceRun] = {}  # guarded-by: _runs_lock
         self._runs_lock = threading.Lock()
         self._seq = 0  # guarded-by: _runs_lock — run-id counter
@@ -391,13 +648,19 @@ class JobService:
         return f"http://{self.host}:{self.port}"
 
     # -- auth --------------------------------------------------------------
-    def authenticate(self, presented: str) -> Optional[str]:
+    def authenticate(self, presented: Optional[str]) -> Optional[str]:
         """The tenant of a matching live token, else None.
 
-        Every configured token is always compared (no early exit) and
-        each comparison is constant-time, so response timing reveals
-        neither which token matched nor how close a guess came.
+        With no tokens configured every request is the anonymous
+        tenant's.  Otherwise every configured token is always compared
+        (no early exit) and each comparison is constant-time, so
+        response timing reveals neither which token matched nor how
+        close a guess came.
         """
+        if not self._tokens:
+            return ANONYMOUS_TENANT
+        if presented is None:
+            return None
         presented_bytes = presented.strip().encode("utf-8")
         now = self._clock()
         tenant: Optional[str] = None
@@ -413,7 +676,10 @@ class JobService:
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "JobService":
         """Start serving and executing; returns self for chaining."""
-        self._cache.start()
+        self._serving = threading.Thread(
+            target=self._httpd.serve_forever, daemon=True
+        )
+        self._serving.start()
         for index in range(self.workers):
             thread = threading.Thread(
                 target=run_worker,
@@ -438,7 +704,11 @@ class JobService:
         for thread in self._threads:
             thread.join(timeout=30)
         self._threads = []
-        self._cache.stop()
+        if self._serving is not None:
+            self._httpd.shutdown()
+            self._serving.join(timeout=10)
+            self._serving = None
+        self._httpd.server_close()
         if self._owns_store:
             self.store.close()
             self._owns_store = False
@@ -662,17 +932,18 @@ class JobService:
 
 
 class ServiceClient:
-    """HTTP client for the job service (stdlib only).
+    """HTTP client for the run routes of ``repro serve`` (stdlib only).
 
-    Sends ``Authorization: Bearer <token>`` on every request; protocol
-    and auth failures raise :class:`ServiceError` with the server's
-    error message (``401`` surfaces as ``unauthorized``).
+    Sends ``Authorization: Bearer <token>`` on every request when given
+    a token (``None`` suits an unauthenticated server); protocol and
+    auth failures raise :class:`ServiceError` with the server's error
+    message (``401`` surfaces as ``unauthorized``).
     """
 
     def __init__(
         self,
         base_url: str,
-        token: str,
+        token: Optional[str] = None,
         timeout_s: float = 30.0,
     ) -> None:
         self.base_url = base_url.rstrip("/")
@@ -693,7 +964,8 @@ class ServiceClient:
         )
         if body is not None:
             request.add_header("Content-Type", "application/json")
-        request.add_header("Authorization", f"Bearer {self.token}")
+        if self.token is not None:
+            request.add_header("Authorization", f"Bearer {self.token}")
         try:
             with urllib.request.urlopen(
                 request, timeout=self.timeout_s
@@ -769,28 +1041,3 @@ class ServiceClient:
                     f"{timeout_s:g}s"
                 )
             sleep(poll_s)
-
-
-def serve_jobs(
-    store_url: str,
-    tokens: Iterable[Union[str, ServiceToken]],
-    host: str = "127.0.0.1",
-    port: int = 8766,
-    workers: int = 2,
-    runs_root: Optional[str] = None,
-    lease_ttl_s: float = 60.0,
-    max_attempts: int = 3,
-    quiet: bool = False,
-) -> JobService:
-    """Open ``store_url`` and return a bound (not yet serving) service."""
-    return JobService(
-        store_url,
-        tokens,
-        host=host,
-        port=port,
-        workers=workers,
-        runs_root=runs_root,
-        lease_ttl_s=lease_ttl_s,
-        max_attempts=max_attempts,
-        quiet=quiet,
-    )

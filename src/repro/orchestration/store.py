@@ -8,7 +8,7 @@ historical directory layout — ``<root>/<kind>/<key>.json`` under
 ``.repro_cache/`` by convention, atomic tmp-file + rename writes — so
 ``ArtifactStore(root)`` behaves exactly as it always has and existing
 caches keep working; a single-file SQLite database
-(``sqlite:PATH``) and a remote ``repro serve-cache``
+(``sqlite:PATH``) and a remote ``repro serve``
 (``http://host:port``), optionally tiered behind a local layer, slot in
 through :meth:`ArtifactStore.from_url` / :func:`resolve_store` without
 the executor noticing.  Interrupted sweeps never leave half-written
@@ -162,7 +162,7 @@ class TieredStore(ArtifactStore):
 
     Reads are served locally when possible; remote hits are written back
     to the local layer, and writes go to both — so a fleet of sweep
-    machines behind one ``repro serve-cache`` shares a warm cache while
+    machines behind one ``repro serve`` shares a warm cache while
     repeated reads stay off the network.  Layers may be given as
     backends or store URLs::
 

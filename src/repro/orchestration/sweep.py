@@ -344,7 +344,7 @@ def run_fleet_sweep(
     :class:`SweepResult` a local :func:`run_sweep` would.
 
     Plans the spec, enqueues the serialized DAG on the ``coordinator``
-    (a ``repro serve-cache --fleet`` URL or a prepared
+    (a ``repro serve`` URL or a prepared
     :class:`~repro.orchestration.coordinator.FleetClient` — enqueueing
     is idempotent, so re-submitting a half-finished sweep just resumes
     it), then polls ``/v1/fleet/status`` until no job is outstanding.

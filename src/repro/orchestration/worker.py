@@ -144,7 +144,7 @@ def run_worker(
 ) -> WorkerStats:
     """Pull, execute and report fleet jobs until done (or told to stop).
 
-    ``coordinator`` is a ``repro serve-cache --fleet`` URL or an
+    ``coordinator`` is a ``repro serve`` URL or an
     existing :class:`FleetClient`; ``store`` is the *shared* artifact
     store the fleet reads dependency payloads from and writes results
     to (typically a :class:`~repro.orchestration.store.TieredStore`

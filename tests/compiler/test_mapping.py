@@ -1,10 +1,13 @@
 """Initial mapping strategies."""
 
+import gc
+
 import networkx as nx
 import pytest
 
 from repro.circuits import get_benchmark
 from repro.compiler import greedy_mapping, random_mapping
+from repro.compiler import mapping as mapping_module
 from repro.topologies import get_topology
 
 
@@ -65,3 +68,17 @@ def test_greedy_mapping_whole_device():
     circuit = get_benchmark("bv-16")
     mapping = greedy_mapping(circuit, grid)
     assert len(set(mapping.values())) == 16
+
+
+def test_path_memo_dies_with_its_graph(bv9):
+    # The memo is keyed on the graph object, not its id(): once the
+    # topology is gone its paths are gone, so a later graph that reuses
+    # the freed id can never read them.
+    mapping_module._PATH_CACHE.clear()
+    topology = get_topology("falcon")
+    random_mapping(bv9, topology, seed=3)
+    assert len(mapping_module._PATH_CACHE) == 1
+    del topology
+    gc.collect()
+    assert len(mapping_module._PATH_CACHE) == 0
+

@@ -17,8 +17,8 @@ from repro.core.config import QGDPConfig
 from repro.evaluation import EvaluationConfig, sweep_spec
 from repro.orchestration import (
     ArtifactStore,
-    CacheServer,
     DirBackend,
+    JobService,
     RemoteHTTPBackend,
     RunSink,
     TieredStore,
@@ -90,7 +90,7 @@ def test_http_backend_tiered_bit_identical_and_resumable(
     spec, storage_root, dir_result
 ):
     _reference, reference_bytes = dir_result
-    with CacheServer(DirBackend(str(storage_root / "served"))) as server:
+    with JobService(DirBackend(str(storage_root / "served")), workers=0) as server:
         cold_store = TieredStore(
             f"dir:{storage_root / 'tier_local_cold'}", server.url
         )
@@ -118,7 +118,7 @@ def test_http_backend_tiered_bit_identical_and_resumable(
 
 def test_remote_only_resume_without_local_layer(spec, storage_root, dir_result):
     _reference, reference_bytes = dir_result
-    with CacheServer(DirBackend(str(storage_root / "dir_cache"))) as server:
+    with JobService(DirBackend(str(storage_root / "dir_cache")), workers=0) as server:
         store = ArtifactStore(backend=RemoteHTTPBackend(server.url))
         warm = run_sweep(spec, store=store, resume=True)
     assert warm.stats.computed == 0

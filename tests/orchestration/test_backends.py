@@ -14,8 +14,8 @@ import pytest
 
 from repro.orchestration import (
     ArtifactStore,
-    CacheServer,
     DirBackend,
+    JobService,
     RemoteHTTPBackend,
     SqliteBackend,
     StoreUnavailable,
@@ -35,7 +35,7 @@ def backend(request, tmp_path):
         with SqliteBackend(str(tmp_path / "cache.db")) as made:
             yield made
     else:
-        with CacheServer(DirBackend(str(tmp_path / "served"))) as server:
+        with JobService(DirBackend(str(tmp_path / "served")), workers=0) as server:
             yield RemoteHTTPBackend(server.url)
 
 
@@ -202,7 +202,7 @@ def test_tiered_store_serves_sweep_artifacts(tmp_path):
 def test_remote_backend_unreachable_raises(tmp_path):
     # Bind-then-close guarantees a dead port; a down server must raise
     # loudly, never masquerade as an empty cache.
-    server = CacheServer(DirBackend(str(tmp_path / "cache")))
+    server = JobService(DirBackend(str(tmp_path / "cache")), workers=0)
     url = server.url
     server.stop()
     client = RemoteHTTPBackend(url, timeout_s=2.0)

@@ -1,11 +1,8 @@
-"""The batched multi-key artifact protocol and its legacy fallback.
+"""The batched multi-key artifact protocol.
 
 ``POST /v1/artifacts/get`` / ``.../head`` answer N keys in one round
 trip; :class:`RemoteHTTPBackend` chunks multi-key reads through them
-(``requests == ceil(N / batch_size)``) and silently degrades to
-per-key requests against a server predating the endpoints, counting
-every degraded call in ``batch_fallbacks`` — so a mixed-version fleet
-keeps identical answers, just different round-trip bills.
+(``requests == ceil(N / batch_size)``).
 """
 
 import json
@@ -15,8 +12,8 @@ import pytest
 
 from repro.orchestration import (
     ArtifactStore,
-    CacheServer,
     DirBackend,
+    JobService,
     RemoteHTTPBackend,
     StoreError,
     TieredBackend,
@@ -38,17 +35,8 @@ def _warm(backend, n=N):
 
 @pytest.fixture()
 def batch_server(tmp_path):
-    backend = DirBackend(str(tmp_path / "modern"))
-    server = CacheServer(backend).start()
-    yield server
-    server.stop()
-
-
-@pytest.fixture()
-def legacy_server(tmp_path):
-    # A server predating the batch endpoints: they answer 404 there.
-    backend = DirBackend(str(tmp_path / "legacy"))
-    server = CacheServer(backend, batch_endpoints=False).start()
+    backend = DirBackend(str(tmp_path / "served"))
+    server = JobService(backend, workers=0).start()
     yield server
     server.stop()
 
@@ -59,7 +47,6 @@ def test_batched_reads_cost_ceil_n_over_batch(batch_server):
 
     values = client.get_many(pairs)
     assert client.requests == math.ceil(N / 4)  # 3, not 10
-    assert client.batch_fallbacks == 0
     assert values == {
         pair: json.dumps({"i": i}, sort_keys=True)
         for i, pair in enumerate(pairs)
@@ -78,36 +65,8 @@ def test_misses_are_none_not_errors(batch_server):
     assert client.requests == 1
 
 
-def test_legacy_server_degrades_to_per_key(legacy_server):
-    pairs = _warm(legacy_server.backend)
-    client = RemoteHTTPBackend(legacy_server.url, batch_size=4)
-
-    values = client.get_many(pairs)
-    # One probing batch call (404) + one request per key.
-    assert client.requests == 1 + N
-    assert client.batch_fallbacks == 1
-    assert values[pairs[0]] is not None
-    # The 404 is cached: later multi-key calls skip the probe but
-    # still count as degraded.
-    present = client.has_many(pairs)
-    assert client.requests == 1 + N + N
-    assert client.batch_fallbacks == 2
-    assert all(present.values())
-
-
-def test_mixed_version_fleet_agrees_on_answers(batch_server, legacy_server):
-    pairs = _warm(batch_server.backend)
-    _warm(legacy_server.backend)
-    modern = RemoteHTTPBackend(batch_server.url, batch_size=4)
-    degraded = RemoteHTTPBackend(legacy_server.url, batch_size=4)
-    assert modern.get_many(pairs) == degraded.get_many(pairs)
-    assert modern.has_many(pairs) == degraded.has_many(pairs)
-    assert modern.batch_fallbacks == 0
-    assert degraded.batch_fallbacks > 0
-
-
 def test_batch_item_validation(batch_server):
-    # Malformed batch bodies are 400s, which a *modern* client never
+    # Malformed batch bodies are 400s, which the shipped client never
     # sends — but raw callers get a real error, not a silent [].
     import urllib.error
     import urllib.request

@@ -1,4 +1,4 @@
-"""The ``repro serve-cache`` HTTP protocol against a live server.
+"""The artifact and fleet routes of ``repro serve`` against a live server.
 
 Every test runs a real ThreadingHTTPServer on an ephemeral port and
 talks to it over actual sockets — both through the RemoteHTTPBackend
@@ -13,9 +13,8 @@ import urllib.request
 import pytest
 
 from repro.orchestration import (
-    CacheServer,
     DirBackend,
-    FleetCoordinator,
+    JobService,
     RemoteHTTPBackend,
     SqliteBackend,
 )
@@ -27,7 +26,7 @@ def server(request, tmp_path):
         backend = DirBackend(str(tmp_path / "served"))
     else:
         backend = SqliteBackend(str(tmp_path / "served.db"))
-    with CacheServer(backend) as running:
+    with JobService(backend, workers=0) as running:
         yield running
     backend.close()
 
@@ -136,8 +135,8 @@ def test_concurrent_clients_share_one_store(server):
 
 
 def test_ephemeral_port_allocation(tmp_path):
-    first = CacheServer(DirBackend(str(tmp_path / "a")))
-    second = CacheServer(DirBackend(str(tmp_path / "b")))
+    first = JobService(DirBackend(str(tmp_path / "a")), workers=0)
+    second = JobService(DirBackend(str(tmp_path / "b")), workers=0)
     try:
         assert first.port != 0 and second.port != 0
         assert first.port != second.port
@@ -151,7 +150,7 @@ def test_put_rejects_oversized_body(tmp_path):
     # A configurable ceiling so one absurd upload can't make a handler
     # thread buffer gigabytes; the refusal is a clean 413, not a hang.
     backend = DirBackend(str(tmp_path / "small"))
-    with CacheServer(backend, max_body_bytes=64) as server:
+    with JobService(backend, workers=0, max_body_bytes=64) as server:
         huge = b'{"pad": "' + b"x" * 200 + b'"}'
         status, body = _raw(
             f"{server.url}/v1/artifact/gp/key", method="PUT", body=huge
@@ -175,7 +174,7 @@ def test_stalled_connection_is_dropped_not_wedged(tmp_path):
     import time
 
     backend = DirBackend(str(tmp_path / "served"))
-    with CacheServer(backend, socket_timeout_s=0.3) as server:
+    with JobService(backend, workers=0, socket_timeout_s=0.3) as server:
         stalled = socket.create_connection((server.host, server.port))
         stalled.settimeout(5.0)
         deadline = time.monotonic() + 5.0
@@ -199,23 +198,18 @@ def _post(url, document):
 
 
 def test_ping_reports_fleet_flag(server, client):
-    # The default fixture server has no coordinator attached.
-    assert client.ping()["fleet"] is False
-
-
-def test_fleet_endpoints_disabled_without_coordinator(server):
-    status, body = _post(f"{server.url}/v1/fleet/lease", {"worker": "w"})
-    assert status == 404
-    assert b"fleet endpoints disabled" in body
+    # Every server carries the fleet routes.
+    assert client.ping()["fleet"] is True
     status, body = _raw(f"{server.url}/v1/fleet/status")
-    assert status == 404
-    assert b"fleet endpoints disabled" in body
+    assert status == 200
+    assert json.loads(body)["counts"]["total"] == 0
 
 
 def test_fleet_protocol_over_http(tmp_path):
     backend = DirBackend(str(tmp_path / "served"))
-    coordinator = FleetCoordinator(lease_ttl_s=60.0, max_attempts=3)
-    with CacheServer(backend, coordinator=coordinator) as server:
+    with JobService(
+        backend, workers=0, lease_ttl_s=60.0, max_attempts=3
+    ) as server:
         client = RemoteHTTPBackend(server.url)
         assert client.ping()["fleet"] is True
 
@@ -253,8 +247,7 @@ def test_fleet_protocol_over_http(tmp_path):
 
 def test_invalid_fleet_requests_are_400(tmp_path):
     backend = DirBackend(str(tmp_path / "served"))
-    coordinator = FleetCoordinator()
-    with CacheServer(backend, coordinator=coordinator) as server:
+    with JobService(backend, workers=0) as server:
         # Missing required field.
         status, body = _post(f"{server.url}/v1/fleet/lease", {})
         assert status == 400
@@ -272,4 +265,15 @@ def test_invalid_fleet_requests_are_400(tmp_path):
         )
         assert status == 400
         assert b"invalid fleet request" in body
+        # A batch with one bad row is refused whole: its valid row is
+        # not left registered behind the 400.
+        job = {"kind": "gp", "key": "k0", "params": {}, "deps": [],
+               "dep_kinds": []}
+        status, body = _post(
+            f"{server.url}/v1/fleet/enqueue", {"jobs": [job, 1]}
+        )
+        assert status == 400
+        assert b"invalid fleet request" in body
+        status, body = _raw(f"{server.url}/v1/fleet/status")
+        assert json.loads(body)["counts"]["total"] == 0
     backend.close()

@@ -2,7 +2,7 @@
 
 The choreography (see ISSUE acceptance criteria):
 
-1. A coordinator-backed cache server holds a 9-job sweep DAG.
+1. A ``repro serve`` server holds a 9-job sweep DAG.
 2. Worker ``killer`` leases all three ready roots in one batch, completes
    exactly one, then SIGKILLs itself while still holding the other two
    leases — no drain, no release, like a machine losing power.
@@ -25,9 +25,8 @@ from fault_injection import spawn_chaos_worker
 
 from repro.core.config import QGDPConfig
 from repro.orchestration import (
-    CacheServer,
     FleetClient,
-    FleetCoordinator,
+    JobService,
     SqliteBackend,
     SweepSpec,
     config_to_dict,
@@ -55,9 +54,10 @@ def test_fleet_survives_sigkill_and_flaky_store(tmp_path):
     spec = _spec()
     plan = plan_sweep(spec)
 
-    coordinator = FleetCoordinator(lease_ttl_s=2.0, max_attempts=3)
     backend = SqliteBackend(str(tmp_path / "store.db"))
-    server = CacheServer(backend, coordinator=coordinator).start()
+    server = JobService(
+        backend, workers=0, lease_ttl_s=2.0, max_attempts=3
+    ).start()
     killer = survivor = None
     try:
         FleetClient(server.url).enqueue(serialize_graph(plan.graph))

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from repro.core.config import QGDPConfig
 from repro.orchestration import (
     ArtifactStore,
-    CacheServer,
     FleetClient,
     FleetCoordinator,
     FleetError,
     Job,
     JobGraph,
+    JobService,
     LocalFleetClient,
     RetryPolicy,
     SqliteBackend,
@@ -241,6 +241,32 @@ def test_enqueue_under_failed_dependency_fails_immediately():
     )
 
 
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        1,
+        {"kind": "gp"},
+        {"kind": "gp", "key": "b", "params": []},
+        {"kind": "gp", "key": "b", "deps": "f0"},
+        {"kind": "gp", "key": "b", "deps": ["f0"], "dep_kinds": []},
+        {"kind": "gp", "key": "b", "deps": ["missing"]},
+    ],
+)
+def test_enqueue_is_all_or_nothing(bad_row):
+    # A batch with one malformed row registers none of its rows, not
+    # even the valid rows ahead of the bad one.
+    coord, _ = _coordinator()
+    with pytest.raises(ValueError):
+        coord.enqueue(_fan_jobs(1) + [bad_row])
+    status = coord.status()
+    assert status["counts"]["total"] == 0
+    assert coord.lease("w1")["jobs"] == []
+    # A later dependent of a row from the refused batch is refused too.
+    with pytest.raises(ValueError):
+        coord.enqueue([{"kind": "gp", "key": "c", "deps": ["f0"]}])
+    assert coord.enqueue(_fan_jobs(1))["accepted"] == 1
+
+
 def test_unknown_requests_are_rejected():
     coord, _ = _coordinator()
     with pytest.raises(ValueError):
@@ -371,9 +397,10 @@ def _tiny_spec():
 
 @pytest.fixture()
 def fleet_server(tmp_path):
-    coordinator = FleetCoordinator(lease_ttl_s=30.0, max_attempts=3)
     backend = SqliteBackend(str(tmp_path / "store.db"))
-    server = CacheServer(backend, coordinator=coordinator).start()
+    server = JobService(
+        backend, workers=0, lease_ttl_s=30.0, max_attempts=3
+    ).start()
     yield server
     server.stop()
     backend.close()

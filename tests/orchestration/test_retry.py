@@ -282,7 +282,7 @@ def test_tiered_degradation_counters_are_thread_safe(tmp_path):
 
     Regression for the RPR003 lock-discipline finding: the degradation
     counters were bare ``+=`` even though the store contract promises
-    thread-safety (serve-cache fronts one backend with a threading HTTP
+    thread-safety (repro serve fronts one backend with a threading HTTP
     server), so parallel readers could lose increments.  Hammering the
     counters from many threads must account for every skipped remote op
     exactly once.

@@ -5,8 +5,9 @@ ephemeral port: two authenticated tenants submitting overlapping
 sweeps concurrently get results bit-identical to serial
 :func:`~repro.orchestration.sweep.run_sweep` runs while the overlap is
 computed exactly once fleet-wide (the per-run manifests' ``computed``
-counters sum to the size of the job-key union); every endpoint rejects
-missing/wrong/expired tokens with an opaque 401; cancellation
+counters sum to the size of the job-key union); with tokens every
+route rejects missing/wrong/expired tokens with an opaque 401, and
+without tokens every route answers unauthenticated; cancellation
 withdraws only jobs no other tenant needs; and a warm-cache resume
 check over N artifacts costs ``ceil(N / batch_size)`` HTTP round trips
 through the batched artifact endpoints.
@@ -30,6 +31,7 @@ from repro.orchestration import (
     run_sweep,
 )
 from repro.orchestration.service import (
+    ANONYMOUS_TENANT,
     JobService,
     ServiceClient,
     ServiceError,
@@ -251,6 +253,10 @@ def test_submit_rejections(shared_service):
         {"topology": "grid", "engine": "qgdp"},  # flow missing benchmark
         {"topology": "grid", "benchmark": "bv-4", "engine": "qgdp",
          "engines": ["qgdp"]},  # flow/spec field mix
+        {"topology": "grid", "benchmark": "bv-4", "engine": "qgdp",
+         "config": "x"},  # config is not an object
+        {**_spec_doc(), "noise": [1]},  # noise is not an object
+        {**_spec_doc(), "config": {"seed": 1}},  # config misses fields
     ):
         with pytest.raises(ServiceError) as info:
             client.submit(document)
@@ -320,6 +326,77 @@ def test_every_endpoint_rejects_bad_tokens(frozen_service):
     assert status == 401
 
 
+_FLOW = {"topology": "grid", "benchmark": "bv-4", "engine": "qgdp",
+         "num_seeds": 1}
+_ROW = {"kind": "gp", "key": "gate0", "params": {}, "deps": [],
+        "dep_kinds": []}
+
+#: Every route: (method, path, body, the status it answers when let in).
+_ROUTES = [
+    ("GET", "/v1/ping", None, 200),
+    ("GET", "/v1/list", None, 200),
+    ("GET", "/v1/stats", None, 200),
+    ("GET", "/v1/artifact/gp/gate-get", None, 404),
+    ("HEAD", "/v1/artifact/gp/gate-head", None, 404),
+    ("PUT", "/v1/artifact/gp/gate-put", b"{}", 204),
+    ("DELETE", "/v1/artifact/gp/gate-delete", None, 404),
+    ("POST", "/v1/artifacts/get", b'{"items": []}', 200),
+    ("POST", "/v1/artifacts/head", b'{"items": []}', 200),
+    ("POST", "/v1/fleet/enqueue", json.dumps({"jobs": [_ROW]}).encode(), 200),
+    ("POST", "/v1/fleet/lease", b'{"worker": "gate"}', 200),
+    ("POST", "/v1/fleet/heartbeat", b'{"worker": "gate"}', 200),
+    ("POST", "/v1/fleet/complete",
+     b'{"worker": "gate", "key": "ghost", "status": "computed"}', 400),
+    ("POST", "/v1/fleet/withdraw", b'{"keys": []}', 200),
+    ("GET", "/v1/fleet/status", None, 200),
+    ("POST", "/v1/run", json.dumps(_FLOW).encode(), 200),
+    ("GET", "/v1/run/run9999-deadbeef", None, 404),
+    ("GET", "/v1/run/run9999-deadbeef/results", None, 404),
+    ("GET", "/v1/run/run9999-deadbeef/manifest", None, 404),
+    ("DELETE", "/v1/run/run9999-deadbeef", None, 404),
+]
+
+
+@pytest.fixture(scope="module")
+def open_service(tmp_path_factory):
+    """No tokens configured: the unauthenticated trusted-network mode."""
+    root = tmp_path_factory.mktemp("open")
+    with JobService(f"dir:{root / 'cache'}", workers=0) as svc:
+        yield svc
+
+
+@pytest.fixture(scope="module")
+def gated_service(tmp_path_factory):
+    root = tmp_path_factory.mktemp("gated")
+    with JobService(f"dir:{root / 'cache'}", [ALICE], workers=0) as svc:
+        yield svc
+
+
+@pytest.mark.parametrize(
+    "method, path, body, expected",
+    _ROUTES,
+    ids=[f"{method} {path}" for method, path, _b, _e in _ROUTES],
+)
+def test_auth_gate_on_every_route(
+    open_service, gated_service, method, path, body, expected
+):
+    # No tokens configured: the route answers without a header.
+    status, payload = _raw(f"{open_service.url}{path}", method, body=body)
+    assert status == expected, payload
+    # One token configured: the same request gets the opaque 401.
+    status, payload = _raw(f"{gated_service.url}{path}", method, body=body)
+    assert status == 401
+    if method != "HEAD":  # HEAD replies carry no body
+        assert payload == b'{"error": "unauthorized"}'
+
+
+def test_open_service_runs_are_anonymous(open_service):
+    client = ServiceClient(open_service.url)  # no token at all
+    receipt = client.submit(_FLOW)
+    assert receipt["tenant"] == ANONYMOUS_TENANT
+    assert client.status(receipt["run_id"])["state"] == "queued"
+
+
 def test_expired_token_stops_authenticating(tmp_path):
     class Clock:
         now = 0.0
@@ -348,8 +425,9 @@ def test_expired_token_stops_authenticating(tmp_path):
 
 def test_token_normalization_and_validation(tmp_path):
     store_url = f"dir:{tmp_path / 'cache'}"
-    with pytest.raises(ValueError):
-        JobService(store_url, [])  # never unauthenticated
+    with JobService(store_url, [], workers=0) as svc:  # unauthenticated
+        assert svc.authenticate(None) == ANONYMOUS_TENANT
+        assert svc.authenticate("anything") == ANONYMOUS_TENANT
     with pytest.raises(ValueError):
         JobService(store_url, ["t"], workers=-1)
     with pytest.raises(ValueError):
@@ -358,6 +436,7 @@ def test_token_normalization_and_validation(tmp_path):
         assert svc.authenticate("s1") == "tenant1"
         assert svc.authenticate("s2") == "tenant2"
         assert svc.authenticate("s3") is None
+        assert svc.authenticate(None) is None
 
 
 # -- cancellation --------------------------------------------------------------
@@ -431,7 +510,6 @@ def test_warm_cache_resume_batches_round_trips(shared_service):
     assert all(payload is not None for payload in warmed.values())
     assert len(pairs) > batch_size  # the reduction is non-trivial
     assert remote.requests == math.ceil(len(pairs) / batch_size)
-    assert remote.batch_fallbacks == 0
     # After the prefetch, reads are pure memory hits: no new requests.
     before = remote.requests
     for kind, key in pairs:

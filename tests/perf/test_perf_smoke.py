@@ -5,7 +5,7 @@ qubit grid), analysis-kernel guards (legalize + MST trace build +
 crossing count on 12×12 and 16×16 grids), a 24×24 legalize-only guard
 (576 qubits — the BENCH_scaling ceiling), and a cache-server
 round-trip guard (50 artifacts pushed and read back through a live
-``serve-cache``), each with a *generous* wall-clock budget — an order
+``repro serve``), each with a *generous* wall-clock budget — an order
 of magnitude above the implementations' typical time, but far below a
 genuine regression, so only a real hot-path or protocol-overhead
 regression trips them.  Part of the tier-1 run; select just these
@@ -21,8 +21,8 @@ import pytest
 
 from repro.core.config import QGDPConfig
 from repro.orchestration import (
-    CacheServer,
     DirBackend,
+    JobService,
     RemoteHTTPBackend,
     TieredStore,
 )
@@ -140,12 +140,12 @@ def test_legalize_24x24_within_budget():
 
 @pytest.mark.perf_smoke
 def test_cache_server_round_trip_within_budget(tmp_path):
-    """50 artifacts through a live serve-cache: put, cold get, tiered get."""
+    """50 artifacts through a live repro serve: put, cold get, tiered get."""
     payloads = {
         f"key{i:03d}": {"samples": [i / 7.0, i / 11.0], "seed": i}
         for i in range(50)
     }
-    with CacheServer(DirBackend(str(tmp_path / "served"))) as server:
+    with JobService(DirBackend(str(tmp_path / "served")), workers=0) as server:
         client = RemoteHTTPBackend(server.url)
 
         t0 = time.perf_counter()

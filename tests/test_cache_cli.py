@@ -1,7 +1,7 @@
-"""The ``repro cache`` / ``repro serve-cache`` command surface.
+"""The ``repro cache`` / ``repro serve`` command surface.
 
 Smoke + round-trip coverage: stats on dir and sqlite stores, push/pull
-between them (and against a live HTTP cache server on an ephemeral
+between them (and against a live ``repro serve`` on an ephemeral
 port), gc with backdated artifacts, and the self-documenting --help
 text of every new verb.
 """
@@ -14,8 +14,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.orchestration import (
     ArtifactStore,
-    CacheServer,
     DirBackend,
+    JobService,
     SqliteBackend,
 )
 
@@ -63,7 +63,7 @@ def test_cache_pull_round_trip_preserves_bytes(dir_store, tmp_path, capsys):
 
 
 def test_cache_push_to_live_http_server(dir_store, tmp_path, capsys):
-    with CacheServer(SqliteBackend(str(tmp_path / "served.db"))) as server:
+    with JobService(SqliteBackend(str(tmp_path / "served.db")), workers=0) as server:
         assert main(["cache", "push", f"dir:{dir_store}", server.url]) == 0
         assert "copied 2 artifacts" in capsys.readouterr().out
         assert main(["cache", "stats", server.url]) == 0
@@ -117,7 +117,7 @@ def test_cache_rejects_unknown_scheme(tmp_path, capsys):
 
 
 def test_cache_unreachable_server_fails_cleanly(tmp_path, capsys):
-    server = CacheServer(DirBackend(str(tmp_path / "gone")))
+    server = JobService(DirBackend(str(tmp_path / "gone")), workers=0)
     url = server.url
     server.stop()
     assert main(["cache", "stats", url]) == 1
@@ -127,7 +127,7 @@ def test_cache_unreachable_server_fails_cleanly(tmp_path, capsys):
 def test_sweep_unreachable_cache_url_fails_before_computing(tmp_path, capsys):
     # A mistyped cache host must produce a clean error *before* any job
     # runs — never a traceback after an expensive gp job.
-    server = CacheServer(DirBackend(str(tmp_path / "gone")))
+    server = JobService(DirBackend(str(tmp_path / "gone")), workers=0)
     url = server.url
     server.stop()
     code = main(
@@ -149,7 +149,7 @@ def test_sweep_unreachable_cache_url_fails_before_computing(tmp_path, capsys):
 
 
 def test_tables_unreachable_cache_url_fails_cleanly(tmp_path, capsys):
-    server = CacheServer(DirBackend(str(tmp_path / "gone")))
+    server = JobService(DirBackend(str(tmp_path / "gone")), workers=0)
     url = server.url
     server.stop()
     code = main(
@@ -186,15 +186,21 @@ def test_sweep_cache_url_sqlite_end_to_end(tmp_path, capsys, monkeypatch):
     assert {"gp", "lg", "transpile", "analyze", "fidelity"} <= kinds
 
 
-def test_serve_cache_parser_defaults():
-    args = build_parser().parse_args(["serve-cache"])
+def test_serve_parser_defaults():
+    args = build_parser().parse_args(["serve"])
     assert args.store == "dir:.repro_cache"
     assert args.host == "127.0.0.1"
-    assert args.port == 8765
+    assert args.port == 8766
+    assert args.workers == 2
+    assert args.token is None
+    assert args.max_body_mb == 64
+    assert args.socket_timeout_s == 60.0
     args = build_parser().parse_args(
-        ["serve-cache", "--store", "sqlite:x.db", "--port", "0", "--quiet"]
+        ["serve", "--store", "sqlite:x.db", "--port", "0", "--quiet",
+         "--workers", "0", "--max-body-mb", "1", "--socket-timeout-s", "5"]
     )
-    assert args.port == 0 and args.quiet
+    assert args.port == 0 and args.quiet and args.workers == 0
+    assert args.max_body_mb == 1 and args.socket_timeout_s == 5.0
 
 
 @pytest.mark.parametrize(
@@ -205,7 +211,7 @@ def test_serve_cache_parser_defaults():
         (["cache", "gc", "--help"], ["--keep-days", "--dry-run"]),
         (["cache", "push", "--help"], ["LOCAL", "REMOTE", "Idempotent"]),
         (["cache", "pull", "--help"], ["LOCAL", "REMOTE"]),
-        (["serve-cache", "--help"], ["--store", "--port", "docs/storage.md"]),
+        (["serve", "--help"], ["--store", "--port", "docs/storage.md"]),
     ],
 )
 def test_new_verbs_are_self_documenting(argv, expected, capsys):
