@@ -5,10 +5,11 @@ macro legalization (dominant ``tq`` term at ≥100 qubits), the MST trace
 build (dominant cold-evaluation cost) and the sweep-line crossing count
 (every Fig. 9 / Table III ``X`` entry).  The LP is timed both with its
 default levers (transitive arc reduction + solution-level warm start)
-and in the historical cold full-graph mode, and the trace-pair
-intersection scan both batched (one vectorized orientation pass over
-all candidate pairs) and with the scalar per-pair kernel, so the perf
-trajectory records what each lever buys.  Each run dumps best-of-N
+and in the historical cold full-graph mode, so the perf trajectory
+records what each lever buys.  Legalized square grids have no crossing
+candidate pairs, so the trace-pair orientation tests are not timed here;
+``perfbench/run.py`` measures crossings end to end (its
+``routing.crossings`` layer).  Each run dumps best-of-N
 wall-clock numbers to ``BENCH_kernels.json`` at the repo root so
 successive PRs extend the per-kernel perf trajectory alongside
 ``BENCH_scaling.json``.
@@ -25,14 +26,7 @@ from repro.legalization import get_engine, run_legalization
 from repro.legalization.macro_lp import legalize_macros
 from repro.legalization.qubit_legalizer import legalize_qubits
 from repro.placement import GlobalPlacer, build_layout
-from repro.routing.crossings import (
-    _candidate_pairs,
-    _pair_intersection_counts,
-    _trace_intersections,
-    build_traces,
-    count_crossings,
-    trace_bbox,
-)
+from repro.routing.crossings import build_traces, count_crossings
 from repro.topologies import grid_topology
 
 SIDES = (8, 12)
@@ -94,20 +88,6 @@ def run_kernels(sides=SIDES) -> dict:
         crossings_cold_ms = _best_ms(
             lambda: count_crossings(netlist, outcome.bins)
         )
-
-        # Batched vs scalar orientation tests over the layout's actual
-        # surviving candidate pairs.
-        bboxes = {key: trace_bbox(trace) for key, trace in traces.items()}
-        pairs = _candidate_pairs(sorted(traces), bboxes)
-        orient_batched_ms = _best_ms(
-            lambda: _pair_intersection_counts(traces, pairs)
-        )
-        orient_scalar_ms = _best_ms(
-            lambda: {
-                pair: _trace_intersections(traces[pair[0]], traces[pair[1]])
-                for pair in pairs
-            }
-        )
         rows[side * side] = {
             "lp_ms": lp_ms,
             "lp_warm_ms": lp_warm_ms,
@@ -115,8 +95,6 @@ def run_kernels(sides=SIDES) -> dict:
             "traces_ms": traces_ms,
             "crossings_cached_ms": crossings_cached_ms,
             "crossings_cold_ms": crossings_cold_ms,
-            "orient_batched_ms": orient_batched_ms,
-            "orient_scalar_ms": orient_scalar_ms,
         }
     return rows
 
@@ -133,9 +111,7 @@ def test_kernel_timings(benchmark):
             f"(warm {row['lp_warm_ms']:5.1f} / cold {row['lp_cold_ms']:5.1f})  "
             f"traces {row['traces_ms']:6.1f}  "
             f"crossings {row['crossings_cached_ms']:5.1f} cached / "
-            f"{row['crossings_cold_ms']:5.1f} cold  "
-            f"orient {row['orient_batched_ms']:5.2f} batched / "
-            f"{row['orient_scalar_ms']:5.2f} scalar"
+            f"{row['crossings_cold_ms']:5.1f} cold"
         )
 
     RESULT_PATH.write_text(json.dumps(rows, indent=2) + "\n")

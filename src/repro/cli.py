@@ -118,7 +118,10 @@ def _run_one_flow(topology_name: str, args) -> int:
             for key in ("iedge", "crossings", "ph_percent", "hq")
             if key in stage.metrics
         )
-        print(f"[{stage.stage}] {stage.runtime_s:.2f}s  {summary}")
+        print(
+            f"[{stage.stage}] {stage.runtime_s:.2f}s "
+            f"(+{stage.metrics_s:.2f}s metrics)  {summary}"
+        )
     if args.render:
         print(render_layout(flow.netlist, flow.grid))
     if args.json:

@@ -53,13 +53,16 @@ class StageReport:
 
     ``positions`` is a netlist snapshot (node id → (x, y)) so layouts can
     be compared or restored; ``metrics`` holds stage-appropriate numbers
-    (hpwl, displacement, Ph, cluster counts, runtimes...).
+    (hpwl, displacement, Ph, cluster counts, runtimes...).  ``runtime_s``
+    times the stage itself and ``metrics_s`` the layout-metrics pass
+    that produced ``metrics`` after it (0.0 when there was none).
     """
 
     stage: str
     runtime_s: float
     positions: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
+    metrics_s: float = 0.0
 
     def metric(self, key: str, default=None):
         """Convenience accessor into ``metrics``."""
@@ -72,6 +75,7 @@ class StageReport:
             "runtime_s": self.runtime_s,
             "positions": encode_snapshot(self.positions),
             "metrics": dict(self.metrics),
+            "metrics_s": self.metrics_s,
         }
 
     @classmethod
@@ -82,6 +86,7 @@ class StageReport:
             runtime_s=data["runtime_s"],
             positions=decode_snapshot(data["positions"]),
             metrics=dict(data["metrics"]),
+            metrics_s=data.get("metrics_s", 0.0),
         )
 
 

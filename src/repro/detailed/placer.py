@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.config import QGDPConfig
 from repro.detailed.windows import build_window, find_violations
-from repro.frequency.hotspots import qubit_hotspot_pairs, resonator_hotspots
+from repro.frequency.hotspots import resonator_hotspots
 from repro.legalization.bins import KIND_BLOCK, KIND_QUBIT, BinGrid
 from repro.netlist.clusters import block_clusters, cluster_count_map
 from repro.netlist.netlist import QuantumNetlist
@@ -194,7 +194,12 @@ class DetailedPlacer:
 
     # -- main entry ----------------------------------------------------------
     def run(self, netlist: QuantumNetlist, bins: BinGrid) -> DetailedPlacementResult:
-        """Run Algorithm 2 over the whole layout in place."""
+        """Run Algorithm 2 over the whole layout in place.
+
+        The accept/revert checks compare per-resonator ``He`` scores,
+        which count only trace-exposure pairs; qubit-qubit hotspot terms
+        never enter them, so no qubit pairs are computed here.
+        """
         cfg = self.config
         lb = cfg.lb
 
@@ -205,16 +210,12 @@ class DetailedPlacer:
             for key, trace in traces.items()
         }
         bboxes = {key: trace_bbox(trace) for key, trace in traces.items()}
-        # Qubit macros never move during detailed placement, so their
-        # pairwise hotspot terms are computed once for the whole run.
-        qubit_pairs = qubit_hotspot_pairs(netlist, cfg.reach, cfg.delta_c)
         hotspot_scores = resonator_hotspots(
             netlist,
             cfg.reach,
             cfg.delta_c,
             lb=lb,
             traces=traces,
-            qubit_pairs=qubit_pairs,
         )
         crossing_report = count_crossings(
             netlist, bins, traces=traces, samples=samples, bboxes=bboxes
@@ -307,7 +308,6 @@ class DetailedPlacer:
                 cfg.delta_c,
                 lb=lb,
                 traces=traces,
-                qubit_pairs=qubit_pairs,
             )
             hotspots_after = sum(after_scores.get(k, 0.0) for k in keys)
             after_crossings = {

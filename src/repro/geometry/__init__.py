@@ -3,7 +3,8 @@
 Everything in qGDP lives on a rectilinear substrate: qubits and resonator
 wire blocks are axis-aligned rectangles, legalization snaps them to a site
 grid, and the crosstalk metrics reason about adjacency lengths and centroid
-distances between rectangles.  This package provides those primitives with
+distances between rectangles; one array kernel finds the rectangle pairs
+within a gap of each other.  This package provides those primitives with
 no dependency on the rest of the library.
 """
 
@@ -17,6 +18,7 @@ from repro.geometry.rect import (
     gap_between,
 )
 from repro.geometry.grid import SiteGrid
+from repro.geometry.proximity import pairs_within, rect_arrays
 from repro.geometry.segments import segments_intersect, count_pairwise_crossings
 
 __all__ = [
@@ -30,6 +32,8 @@ __all__ = [
     "adjacency_length",
     "gap_between",
     "SiteGrid",
+    "pairs_within",
+    "rect_arrays",
     "segments_intersect",
     "count_pairwise_crossings",
 ]

@@ -1,16 +1,18 @@
 """Legality checking: Eq. 1 (non-overlap), Eq. 2 (borders), and the
 quantum minimum-spacing rule of Section III-C.
 
-Checks use a spatial hash so full-layout validation is near-linear; the
-qGDP test-suite runs them after every legalization.
+Pairwise checks draw their candidates from the
+:func:`~repro.geometry.pairs_within` grid hash, so full-layout validation
+is near-linear; the qGDP test-suite runs them after every legalization.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.geometry import Rect, SiteGrid, gap_between
+import numpy as np
+
+from repro.geometry import SiteGrid, gap_between, pairs_within, rect_arrays
 from repro.netlist.netlist import QuantumNetlist
 
 
@@ -29,12 +31,13 @@ class LegalityViolation:
         return f"{self.kind}: {self.id_a} vs {self.id_b} by {self.amount:.3f}"
 
 
-def _all_rects(netlist: QuantumNetlist) -> list:
-    out = [(("q", q.index), q.rect) for q in netlist.qubits]
-    out.extend(
-        (("b", b.resonator_key, b.ordinal), b.rect) for b in netlist.wire_blocks
-    )
-    return out
+def _components(netlist: QuantumNetlist) -> tuple:
+    """``(components, centers, sizes)``: every qubit, then every block."""
+    qubits, blocks = netlist.qubits, netlist.wire_blocks
+    boxes = [(q.x, q.y, q.w, q.h) for q in qubits]
+    boxes.extend((b.x, b.y, b.size, b.size) for b in blocks)
+    boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    return (qubits + blocks, boxes[:, :2], boxes[:, 2:])
 
 
 def check_legality(
@@ -42,47 +45,44 @@ def check_legality(
     grid: SiteGrid,
     tol: float = 1e-6,
 ) -> list:
-    """All overlap and border violations in the current layout."""
+    """All overlap and border violations in the current layout.
+
+    Border violations come first, in component order (qubits, then wire
+    blocks); overlaps follow in ``(i, j)`` order over that same
+    component list, one per pair whose interiors overlap by more than
+    ``tol`` on both axes.  Every test and amount is ``Rect.inside`` /
+    ``Rect.overlaps`` arithmetic, elementwise.
+    """
     violations = []
+    parts, centers, sizes = _components(netlist)
+    lo = centers - sizes / 2.0
+    hi = centers + sizes / 2.0
+
     border = grid.border
-    rects = _all_rects(netlist)
+    border_lo = np.array([border.xlo, border.ylo])
+    border_hi = np.array([border.xhi, border.yhi])
+    inside = (lo >= border_lo - tol) & (hi <= border_hi + tol)
+    excess = np.hstack((border_lo - lo, hi - border_hi)).max(axis=1)
+    outside = np.flatnonzero(~inside.all(axis=1))
+    for k, amount in zip(outside.tolist(), excess[outside].tolist()):
+        violations.append(
+            LegalityViolation("border", parts[k].node_id, None, amount)
+        )
 
-    for cid, rect in rects:
-        if not rect.inside(border, tol):
-            excess = max(
-                border.xlo - rect.xlo,
-                rect.xhi - border.xhi,
-                border.ylo - rect.ylo,
-                rect.yhi - border.yhi,
+    first, second = pairs_within(centers, sizes, 0.0)
+    shared = np.minimum(hi[first], hi[second])
+    shared -= np.maximum(lo[first], lo[second])
+    hit = (np.maximum(shared, 0.0) > tol).all(axis=1)
+    first, second = first[hit], second[hit]
+    amounts = np.minimum(hi[first] - lo[second], hi[second] - lo[first])
+    for i, j, amount in zip(
+        first.tolist(), second.tolist(), amounts.min(axis=1).tolist()
+    ):
+        violations.append(
+            LegalityViolation(
+                "overlap", parts[i].node_id, parts[j].node_id, amount
             )
-            violations.append(LegalityViolation("border", cid, None, excess))
-
-    cell = max(max(r.w, r.h) for _, r in rects)
-    buckets = {}
-    for k, (_cid, rect) in enumerate(rects):
-        key = (int(math.floor(rect.cx / cell)), int(math.floor(rect.cy / cell)))
-        buckets.setdefault(key, []).append(k)
-    for (bx, by), members in buckets.items():
-        neighborhood = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                neighborhood.extend(buckets.get((bx + dx, by + dy), ()))
-        for i in members:
-            cid_i, rect_i = rects[i]
-            for j in neighborhood:
-                if j <= i:
-                    continue
-                cid_j, rect_j = rects[j]
-                if rect_i.overlaps(rect_j, tol):
-                    overlap = min(
-                        rect_i.xhi - rect_j.xlo,
-                        rect_j.xhi - rect_i.xlo,
-                        rect_i.yhi - rect_j.ylo,
-                        rect_j.yhi - rect_i.ylo,
-                    )
-                    violations.append(
-                        LegalityViolation("overlap", cid_i, cid_j, overlap)
-                    )
+        )
     return violations
 
 
@@ -104,16 +104,19 @@ def qubit_spacing_violations(
     """
     violations = []
     qubits = netlist.qubits
-    for a_pos, qa in enumerate(qubits):
-        for qb in qubits[a_pos + 1 :]:
-            gap = gap_between(qa.rect, qb.rect)
-            if gap < min_spacing - tol:
-                violations.append(
-                    LegalityViolation(
-                        "qubit_spacing",
-                        ("q", qa.index),
-                        ("q", qb.index),
-                        min_spacing - gap,
-                    )
+    first, second = pairs_within(
+        *rect_arrays(q.rect for q in qubits), min_spacing - tol
+    )
+    for a_pos, b_pos in zip(first.tolist(), second.tolist()):
+        qa, qb = qubits[a_pos], qubits[b_pos]
+        gap = gap_between(qa.rect, qb.rect)
+        if gap < min_spacing - tol:
+            violations.append(
+                LegalityViolation(
+                    "qubit_spacing",
+                    ("q", qa.index),
+                    ("q", qb.index),
+                    min_spacing - gap,
                 )
+            )
     return violations

@@ -33,7 +33,14 @@ from repro.orchestration.sink import read_jsonl
 #: Wall-clock fields ignored when comparing result rows: they vary run to
 #: run whenever a stage is actually recomputed, but are not results.
 WALLCLOCK_FIELDS = frozenset(
-    {"runtime_s", "qubit_time_s", "resonator_time_s", "dp_time_s", "wall_s"}
+    {
+        "runtime_s",
+        "metrics_s",
+        "qubit_time_s",
+        "resonator_time_s",
+        "dp_time_s",
+        "wall_s",
+    }
 )
 
 #: How many rows a formatted section lists before eliding the rest.

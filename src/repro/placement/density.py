@@ -37,9 +37,10 @@ class DensityMap:
 
     def deposit(self, xs: np.ndarray, ys: np.ndarray, areas: np.ndarray) -> None:
         """Recompute the density from scratch for the given cells."""
-        self._density.fill(0.0)
         bx, by = self.bin_of(xs, ys)
-        np.add.at(self._density, (by, bx), areas)
+        self._density = np.bincount(
+            by * self.nx + bx, weights=areas, minlength=self.ny * self.nx
+        ).reshape(self.ny, self.nx)
 
     def smoothed(self) -> np.ndarray:
         """Density after one 3x3 box blur (keeps the gradient stable)."""

@@ -84,6 +84,7 @@ class GlobalPlacer:
         nets = netlist.nets(style)
         src = np.array([index_of[u] for u, _ in nets], dtype=int)
         dst = np.array([index_of[v] for _, v in nets], dtype=int)
+        ends = np.concatenate((src, dst))
 
         density = DensityMap(grid, bin_size=2.0 * cfg.lb)
         half = np.where(
@@ -93,11 +94,18 @@ class GlobalPlacer:
 
         step = cfg.gp_step
         for _ in range(cfg.gp_iterations):
-            force = np.zeros_like(pos)
-            # Net attraction (linear springs on 2-pin nets).
+            # Net attraction (linear springs on 2-pin nets), summed per
+            # node in (src, dst) order.
             delta = pos[dst] - pos[src]
-            np.add.at(force, src, cfg.gp_attraction * delta)
-            np.add.at(force, dst, -cfg.gp_attraction * delta)
+            pull = np.concatenate(
+                (cfg.gp_attraction * delta, -cfg.gp_attraction * delta)
+            )
+            force = np.column_stack(
+                [
+                    np.bincount(ends, weights=pull[:, axis], minlength=n)
+                    for axis in (0, 1)
+                ]
+            )
             # Density spreading.
             density.deposit(pos[:, 0], pos[:, 1], areas)
             gx, gy = density.gradient_at(pos[:, 0], pos[:, 1])

@@ -1,5 +1,7 @@
 """End-to-end flow."""
 
+import time
+
 import pytest
 
 from repro.core import QGDPConfig
@@ -86,3 +88,22 @@ def test_empty_flow_result_raises():
 
     with pytest.raises(ValueError):
         FlowResult("grid", "qgdp").final
+
+
+def test_stage_runtime_excludes_layout_metrics(monkeypatch):
+    import repro.core.pipeline as pipeline
+
+    delay = 0.3
+    original = pipeline.layout_metrics
+
+    def slow_metrics(*args, **kwargs):
+        time.sleep(delay)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "layout_metrics", slow_metrics)
+    _, result = run_flow("grid", config=QGDPConfig(gp_iterations=10))
+    for name in ("lg", "dp"):
+        stage = result.stage(name)
+        assert stage.metrics_s >= delay
+        assert stage.runtime_s < delay
+    assert result.stage("gp").metrics_s == 0.0

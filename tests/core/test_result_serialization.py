@@ -40,9 +40,16 @@ def test_stage_report_roundtrip():
         runtime_s=0.25,
         positions={("q", 0): (1.5, 2.5), ("b", (0, 1), 2): (3.5, 4.5)},
         metrics={"iedge": "37/40", "crossings": 3, "ph_percent": 0.125},
+        metrics_s=0.5,
     )
     back = StageReport.from_dict(json.loads(json.dumps(report.to_dict())))
     assert back == report
+
+
+def test_stage_report_without_metrics_time_defaults_to_zero():
+    data = StageReport("gp", 0.25, metrics={"hpwl": 1.0}).to_dict()
+    del data["metrics_s"]
+    assert StageReport.from_dict(data).metrics_s == 0.0
 
 
 def test_flow_result_roundtrip_from_real_flow():

@@ -88,11 +88,11 @@ def test_changed_cell_reports_fields():
 def test_wallclock_fields_are_ignored():
     a = _run(
         [_entry("k1", status="cached")],
-        [_cell_row(qubit_time_s=0.010, dp_time_s=0.5)],
+        [_cell_row(qubit_time_s=0.010, dp_time_s=0.5, metrics_s=0.2)],
     )
     b = _run(
         [_entry("k1", status="cached")],
-        [_cell_row(qubit_time_s=0.999, dp_time_s=0.1)],
+        [_cell_row(qubit_time_s=0.999, dp_time_s=0.1, metrics_s=0.7)],
     )
     assert diff_runs(a, b).is_empty
 

@@ -2,8 +2,10 @@
 
 One small end-to-end flow (place → legalize → detailed-place on a 5×5
 qubit grid), analysis-kernel guards (legalize + MST trace build +
-crossing count on 12×12 and 16×16 grids), a 24×24 legalize-only guard
-(576 qubits — the BENCH_scaling ceiling), and a cache-server
+crossing count on 12×12 and 16×16 grids), a 24×24 legalize guard
+(576 qubits — the BENCH_scaling ceiling) followed by a guard on the
+pairwise legality / spacing / qubit-hotspot checks of that layout, and
+a cache-server
 round-trip guard (50 artifacts pushed and read back through a live
 ``repro serve``), each with a *generous* wall-clock budget — an order
 of magnitude above the implementations' typical time, but far below a
@@ -27,8 +29,13 @@ from repro.orchestration import (
     TieredStore,
 )
 from repro.detailed import DetailedPlacer
+from repro.frequency.hotspots import qubit_hotspot_pairs
 from repro.legalization import get_engine, run_legalization
-from repro.metrics import check_legality, integration_ratio
+from repro.metrics import (
+    check_legality,
+    integration_ratio,
+    qubit_spacing_violations,
+)
 from repro.placement import GlobalPlacer, build_layout
 from repro.routing.crossings import build_traces, count_crossings
 from repro.topologies import grid_topology
@@ -53,6 +60,13 @@ KERNEL_16_BUDGET_S = 10.0
 #: cold full-graph solve); trips only on a complexity-class regression
 #: in the LP assembly, presolve or resonator pass.
 LEGALIZE_24_BUDGET_S = 20.0
+
+#: Budget for the three pairwise layout checks (``check_legality``,
+#: ``qubit_spacing_violations`` and ``qubit_hotspot_pairs``) on the
+#: legalized 24x24 layout (576 qubits, ~13.7k rects), seconds.  Typical:
+#: ~0.05 s with the ``pairs_within`` grid hash (~1.3 s for the scalar
+#: O(n²) loops it replaced); trips on a return to a quadratic scan.
+PAIR_CHECKS_24_BUDGET_S = 0.5
 
 #: Budget for 50 artifacts pushed and read back through a live cache
 #: server over loopback HTTP, seconds.  Typical: well under 0.5 s; the
@@ -131,10 +145,22 @@ def test_legalize_24x24_within_budget():
     run_legalization(netlist, grid, get_engine("qgdp"), cfg)
     elapsed = time.perf_counter() - t0
 
-    assert check_legality(netlist, grid) == []
     assert elapsed < LEGALIZE_24_BUDGET_S, (
         f"legalization took {elapsed:.2f}s on a 24x24 grid "
         f"(budget {LEGALIZE_24_BUDGET_S}s) — LP/resonator regression?"
+    )
+
+    t0 = time.perf_counter()
+    violations = check_legality(netlist, grid)
+    spacing = qubit_spacing_violations(netlist, cfg.min_qubit_spacing)
+    qubit_hotspot_pairs(netlist, cfg.reach, cfg.delta_c)
+    elapsed = time.perf_counter() - t0
+
+    assert violations == [] and spacing == []
+    assert elapsed < PAIR_CHECKS_24_BUDGET_S, (
+        f"legality + spacing + qubit hotspot scans took {elapsed:.2f}s on "
+        f"a 24x24 grid (budget {PAIR_CHECKS_24_BUDGET_S}s) — pair-kernel "
+        f"regression?"
     )
 
 
