@@ -9,8 +9,8 @@ and in the historical cold full-graph mode, so the perf trajectory
 records what each lever buys.  Legalized square grids have no crossing
 candidate pairs, so the trace-pair orientation tests are not timed here;
 ``perfbench/run.py`` measures crossings end to end (its
-``routing.crossings`` layer).  Each run dumps best-of-N
-wall-clock numbers to ``BENCH_kernels.json`` at the repo root so
+``routing.crossings`` layer).  Each run dumps the median of N
+wall-clock runs per kernel to ``BENCH_kernels.json`` at the repo root so
 successive PRs extend the per-kernel perf trajectory alongside
 ``BENCH_scaling.json``.
 """
@@ -18,6 +18,7 @@ successive PRs extend the per-kernel perf trajectory alongside
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -35,17 +36,17 @@ REPEATS = 5
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 
-def _best_ms(fn, repeats=REPEATS) -> float:
+def _median_ms(fn, repeats=REPEATS) -> float:
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return min(times) * 1e3
+    return statistics.median(times) * 1e3
 
 
 def run_kernels(sides=SIDES) -> dict:
-    """Best-of-N per-kernel wall times on square grids."""
+    """Median-of-N per-kernel wall times on square grids."""
     rows = {}
     for side in sides:
         cfg = QGDPConfig()
@@ -57,7 +58,7 @@ def run_kernels(sides=SIDES) -> dict:
             netlist.restore(snapshot)
             legalize_qubits(netlist, grid, cfg)
 
-        lp_ms = _best_ms(lp)
+        lp_ms = _median_ms(lp)
 
         # Warm vs cold on the same macro LP instance: default levers
         # (arc reduction + warm presolve) against the historical cold
@@ -66,12 +67,12 @@ def run_kernels(sides=SIDES) -> dict:
         q_positions = {q.index: (q.x, q.y) for q in netlist.qubits}
         q_sizes = {q.index: (q.w, q.h) for q in netlist.qubits}
         spacing = cfg.min_qubit_spacing
-        lp_warm_ms = _best_ms(
+        lp_warm_ms = _median_ms(
             lambda: legalize_macros(
                 indices, q_positions, q_sizes, grid, spacing
             )
         )
-        lp_cold_ms = _best_ms(
+        lp_cold_ms = _median_ms(
             lambda: legalize_macros(
                 indices, q_positions, q_sizes, grid, spacing,
                 reduce_arcs=False, warm_start=False,
@@ -80,12 +81,12 @@ def run_kernels(sides=SIDES) -> dict:
 
         netlist.restore(snapshot)
         outcome = run_legalization(netlist, grid, get_engine("qgdp"), cfg)
-        traces_ms = _best_ms(lambda: build_traces(netlist, cfg.lb))
+        traces_ms = _median_ms(lambda: build_traces(netlist, cfg.lb))
         traces = build_traces(netlist, cfg.lb)
-        crossings_cached_ms = _best_ms(
+        crossings_cached_ms = _median_ms(
             lambda: count_crossings(netlist, outcome.bins, traces=traces)
         )
-        crossings_cold_ms = _best_ms(
+        crossings_cold_ms = _median_ms(
             lambda: count_crossings(netlist, outcome.bins)
         )
         rows[side * side] = {
@@ -103,7 +104,7 @@ def test_kernel_timings(benchmark):
     rows = benchmark.pedantic(run_kernels, rounds=1, iterations=1)
 
     print()
-    print("== analysis kernels on square grids (best of "
+    print("== analysis kernels on square grids (median of "
           f"{REPEATS}, ms) ==")
     for qubits, row in rows.items():
         print(

@@ -375,9 +375,14 @@ def hotspot_report(
     reach: float = DEFAULT_REACH,
     delta_c: float = DEFAULT_DELTA_C,
     lb: float = 1.0,
+    traces: dict = None,
 ) -> HotspotReport:
-    """Full hotspot analysis: pairs, Ph, HQ and per-resonator He."""
-    pairs = hotspot_pairs(netlist, reach, delta_c, lb)
+    """Full hotspot analysis: pairs, Ph, HQ and per-resonator He.
+
+    ``traces`` optionally supplies precomputed MST traces, as for
+    :func:`hotspot_pairs`.
+    """
+    pairs = hotspot_pairs(netlist, reach, delta_c, lb, traces)
     per_res = resonator_hotspots(netlist, reach, delta_c, pairs, lb)
     affected = set()
     for pair in pairs:

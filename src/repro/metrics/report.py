@@ -9,8 +9,9 @@ from repro.frequency.hotspots import hotspot_report
 from repro.legalization.bins import BinGrid
 from repro.metrics.integration import integration_ratio, total_clusters
 from repro.metrics.legality import check_legality, qubit_spacing_violations
+from repro.netlist.clusters import block_cluster_map
 from repro.netlist.netlist import QuantumNetlist
-from repro.routing.crossings import count_crossings
+from repro.routing.crossings import build_traces, count_crossings
 
 
 @dataclass
@@ -38,16 +39,25 @@ def layout_metrics(
     bins: BinGrid,
     config: QGDPConfig = None,
 ) -> LayoutMetrics:
-    """Compute the full metric set on the current (legalized) layout."""
+    """Compute the full metric set on the current (legalized) layout.
+
+    The cluster map and every resonator's MST trace are built once, at
+    ``config.lb``, and shared by the integration, hotspot and crossing
+    metrics.
+    """
     config = config or QGDPConfig()
-    unified, total = integration_ratio(netlist, config.lb)
-    hotspots = hotspot_report(netlist, config.reach, config.delta_c)
-    crossings = count_crossings(netlist, bins)
+    clusters = block_cluster_map(netlist.resonators, config.lb)
+    traces = build_traces(netlist, config.lb, clusters)
+    unified, total = integration_ratio(netlist, config.lb, clusters)
+    hotspots = hotspot_report(
+        netlist, config.reach, config.delta_c, lb=config.lb, traces=traces
+    )
+    crossings = count_crossings(netlist, bins, traces=traces)
     return LayoutMetrics(
         num_cells=netlist.num_cells,
         unified=unified,
         total_resonators=total,
-        clusters=total_clusters(netlist, config.lb),
+        clusters=total_clusters(netlist, config.lb, clusters),
         crossings=crossings.total,
         ph_percent=hotspots.ph_percent,
         hq=hotspots.hq,

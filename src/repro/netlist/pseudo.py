@@ -59,8 +59,10 @@ def pseudo_connection_nets(resonator: Resonator) -> list:
     """Snake nets plus all-neighbour links in the reshaped rectangle.
 
     Blocks are conceptually arranged row-major in the ``cols x rows``
-    rectangle from :func:`reshape_to_rectangle`; each block gets a net to
-    its right and upper neighbour (covering every adjacent pair once).
+    rectangle from :func:`reshape_to_rectangle`.  Every right neighbour
+    ``i + 1`` is already the block's snake successor, so the only new
+    nets are the upper neighbours ``(b_i, b_{i+cols})`` in block order —
+    and none for a single column, where ``i + cols`` is ``i + 1`` too.
     """
     nets = snake_connection_nets(resonator)
     key = resonator.key
@@ -68,22 +70,11 @@ def pseudo_connection_nets(resonator: Resonator) -> list:
     if n <= 1:
         return nets
     cols, _rows = reshape_to_rectangle(n)
-    seen = {frozenset(net) for net in nets}
-    for i in range(n):
-        col, row = i % cols, i // cols
-        for j in (i + 1, i + cols):
-            if j >= n:
-                continue
-            jcol, jrow = j % cols, j // cols
-            adjacent = (jrow == row and jcol == col + 1) or (
-                jcol == col and jrow == row + 1
-            )
-            if not adjacent:
-                continue
-            net = (block_node(key, i), block_node(key, j))
-            if frozenset(net) not in seen:
-                seen.add(frozenset(net))
-                nets.append(net)
+    if cols > 1:
+        nets.extend(
+            (block_node(key, i), block_node(key, i + cols))
+            for i in range(n - cols)
+        )
     return nets
 
 

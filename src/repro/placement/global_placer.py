@@ -66,20 +66,25 @@ class GlobalPlacer:
         num_qubits = netlist.num_qubits
         n = len(node_ids)
 
-        pos = np.zeros((n, 2))
+        # One contiguous array per axis; qubits first, then wire blocks.
+        x = np.zeros(n)
+        y = np.zeros(n)
         areas = np.zeros(n)
         for q in netlist.qubits:
             k = index_of[("q", q.index)]
-            pos[k] = (q.x, q.y)
+            x[k], y[k] = q.x, q.y
             areas[k] = q.rect.area
         for b in netlist.wire_blocks:
             k = index_of[("b", b.resonator_key, b.ordinal)]
-            pos[k] = (b.x, b.y)
+            x[k], y[k] = b.x, b.y
             areas[k] = b.rect.area
-        anchors = pos[:num_qubits].copy()
+        anchor_x = x[:num_qubits].copy()
+        anchor_y = y[:num_qubits].copy()
 
         # Small symmetric noise so collinear seeds can spread sideways.
-        pos[num_qubits:] += rng.normal(0.0, cfg.gp_noise, (n - num_qubits, 2))
+        noise = rng.normal(0.0, cfg.gp_noise, (n - num_qubits, 2))
+        x[num_qubits:] += noise[:, 0]
+        y[num_qubits:] += noise[:, 1]
 
         nets = netlist.nets(style)
         src = np.array([index_of[u] for u, _ in nets], dtype=int)
@@ -90,48 +95,53 @@ class GlobalPlacer:
         half = np.where(
             np.arange(n) < num_qubits, cfg.qubit_size / 2.0, cfg.lb / 2.0
         )
+        x_hi = grid.width - half
+        y_hi = grid.height - half
         movable_lo = 0 if move_qubits else num_qubits
+        pull = cfg.gp_attraction
+        cap = 1.5 * cfg.lb
 
         step = cfg.gp_step
         for _ in range(cfg.gp_iterations):
             # Net attraction (linear springs on 2-pin nets), summed per
             # node in (src, dst) order.
-            delta = pos[dst] - pos[src]
-            pull = np.concatenate(
-                (cfg.gp_attraction * delta, -cfg.gp_attraction * delta)
+            dx = x[dst] - x[src]
+            dy = y[dst] - y[src]
+            fx = np.bincount(
+                ends, np.concatenate((pull * dx, -pull * dx)), minlength=n
             )
-            force = np.column_stack(
-                [
-                    np.bincount(ends, weights=pull[:, axis], minlength=n)
-                    for axis in (0, 1)
-                ]
+            fy = np.bincount(
+                ends, np.concatenate((pull * dy, -pull * dy)), minlength=n
             )
-            # Density spreading.
-            density.deposit(pos[:, 0], pos[:, 1], areas)
-            gx, gy = density.gradient_at(pos[:, 0], pos[:, 1])
-            force[:, 0] -= cfg.gp_density * gx
-            force[:, 1] -= cfg.gp_density * gy
+            # Density spreading, both passes over one binning.
+            bins = density.flat_bins(x, y)
+            density.deposit_bins(bins, areas)
+            gx, gy = density.gradient_of_bins(bins)
+            fx -= cfg.gp_density * gx
+            fy -= cfg.gp_density * gy
             # Qubit anchors.
-            force[:num_qubits] += cfg.gp_anchor * (anchors - pos[:num_qubits])
+            fx[:num_qubits] += cfg.gp_anchor * (anchor_x - x[:num_qubits])
+            fy[:num_qubits] += cfg.gp_anchor * (anchor_y - y[:num_qubits])
             if not move_qubits:
-                force[:num_qubits] = 0.0
+                fx[:num_qubits] = 0.0
+                fy[:num_qubits] = 0.0
 
             # Capped, decaying step.
-            norm = np.linalg.norm(force, axis=1, keepdims=True)
-            cap = 1.5 * cfg.lb
+            norm = np.sqrt(fx * fx + fy * fy)
             scale = np.minimum(1.0, cap / np.maximum(norm, 1e-12))
-            pos[movable_lo:] += step * (force * scale)[movable_lo:]
+            x[movable_lo:] += step * (fx * scale)[movable_lo:]
+            y[movable_lo:] += step * (fy * scale)[movable_lo:]
 
             # Border clamp (Eq. 2).
-            pos[:, 0] = np.clip(pos[:, 0], half, grid.width - half)
-            pos[:, 1] = np.clip(pos[:, 1], half, grid.height - half)
+            np.minimum(np.maximum(x, half, out=x), x_hi, out=x)
+            np.minimum(np.maximum(y, half, out=y), y_hi, out=y)
             step *= 0.995
 
-        self._write_back(netlist, node_ids, pos)
-        density.deposit(pos[:, 0], pos[:, 1], areas)
+        self._write_back(netlist, node_ids, x, y)
+        density.deposit(x, y, areas)
         bin_cap = density.bin_size**2
         overflow = float(np.max(density.density) / bin_cap)
-        positions = {nid: tuple(pos[k]) for nid, k in index_of.items()}
+        positions = dict(zip(node_ids, zip(x.tolist(), y.tolist())))
         return GlobalPlaceResult(
             iterations=cfg.gp_iterations,
             hpwl=total_hpwl(nets, positions),
@@ -139,11 +149,12 @@ class GlobalPlacer:
         )
 
     @staticmethod
-    def _write_back(netlist: QuantumNetlist, node_ids: list, pos: np.ndarray) -> None:
-        for k, nid in enumerate(node_ids):
+    def _write_back(
+        netlist: QuantumNetlist, node_ids: list, x: np.ndarray, y: np.ndarray
+    ) -> None:
+        for nid, xk, yk in zip(node_ids, x.tolist(), y.tolist()):
             if nid[0] == "q":
-                netlist.qubit(nid[1]).move_to(float(pos[k, 0]), float(pos[k, 1]))
+                netlist.qubit(nid[1]).move_to(xk, yk)
             else:
                 _, key, ordinal = nid
-                block = netlist.resonator(*key).blocks[ordinal]
-                block.move_to(float(pos[k, 0]), float(pos[k, 1]))
+                netlist.resonator(*key).blocks[ordinal].move_to(xk, yk)

@@ -216,14 +216,18 @@ def _pair_intersection_counts(traces: dict, pairs: list) -> dict:
     return {pair: int(count) for pair, count in zip(pairs, counts)}
 
 
-def build_traces(netlist: QuantumNetlist, lb: float) -> dict:
+def build_traces(
+    netlist: QuantumNetlist, lb: float, clusters: dict = None
+) -> dict:
     """``{resonator key: MST trace}`` for the whole layout.
 
     Clusters for all resonators come from one batched
     :func:`~repro.netlist.clusters.block_cluster_map` pass (the cluster
-    extraction is about half of a cold trace build).
+    extraction is about half of a cold trace build); a caller that
+    already holds that map passes it as ``clusters``.
     """
-    clusters = block_cluster_map(netlist.resonators, lb)
+    if clusters is None:
+        clusters = block_cluster_map(netlist.resonators, lb)
     return {
         r.key: resonator_trace(netlist, r, lb, clusters=clusters[r.key])
         for r in netlist.resonators

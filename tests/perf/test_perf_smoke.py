@@ -2,17 +2,17 @@
 
 One small end-to-end flow (place → legalize → detailed-place on a 5×5
 qubit grid), analysis-kernel guards (legalize + MST trace build +
-crossing count on 12×12 and 16×16 grids), a 24×24 legalize guard
-(576 qubits — the BENCH_scaling ceiling) followed by a guard on the
-pairwise legality / spacing / qubit-hotspot checks of that layout, and
-a cache-server
-round-trip guard (50 artifacts pushed and read back through a live
-``repro serve``), each with a *generous* wall-clock budget — an order
-of magnitude above the implementations' typical time, but far below a
-genuine regression, so only a real hot-path or protocol-overhead
-regression trips them.  Part of the tier-1 run; select just these
-guards with ``pytest -m perf_smoke``.
-"""
+crossing count on 12×12 and 16×16 grids), a 24×24 global-placement
+guard, a 24×24 legalize guard (576 qubits — the BENCH_scaling ceiling)
+followed by a guard on the pairwise legality / spacing / qubit-hotspot
+checks of that layout, and a cache-server round-trip guard (50
+artifacts pushed and read back through a live ``repro serve``).  Most
+budgets are *generous* — an order of magnitude above the
+implementations' typical time — so only a real hot-path or
+protocol-overhead regression trips them; the 24×24 global-placement and
+pair-check budgets sit at about twice the typical time, below what the
+loops they replaced take.  Part of the tier-1 run; select just these
+guards with ``pytest -m perf_smoke``."""
 
 from __future__ import annotations
 
@@ -54,6 +54,13 @@ KERNEL_BUDGET_S = 5.0
 #: (256 qubits), seconds.  Typical: ~0.4 s with the batched cluster and
 #: orientation kernels; generous so CI machine noise never trips it.
 KERNEL_16_BUDGET_S = 10.0
+
+#: Budget for ``GlobalPlacer.run`` (250 iterations) on the 24x24 layout
+#: (576 qubits, ~13.1k wire blocks, ~22.8k pseudo nets), seconds.
+#: Typical on a 2-core host: ~0.4 s (median of six) with the per-axis
+#: loop that bins once per iteration, ~0.9–1.1 s for the strided
+#: ``(n, 2)`` loop it replaced; trips on a return to that overhead.
+GP_24_BUDGET_S = 0.8
 
 #: Budget for legalization alone on a 24x24 grid (576 qubits), seconds.
 #: Typical: ~0.5 s with the warm-started, arc-reduced LP (~3 s for the
@@ -132,6 +139,21 @@ def test_analysis_kernels_16x16_within_budget():
     assert elapsed < KERNEL_16_BUDGET_S, (
         f"legalize+traces+crossings took {elapsed:.2f}s on a 16x16 grid "
         f"(budget {KERNEL_16_BUDGET_S}s) — analysis-kernel regression?"
+    )
+
+
+@pytest.mark.perf_smoke
+def test_global_place_24x24_within_budget():
+    cfg = QGDPConfig()
+    netlist, grid = build_layout(grid_topology(24), cfg)
+
+    t0 = time.perf_counter()
+    GlobalPlacer(cfg).run(netlist, grid, seed=cfg.seed)
+    elapsed = time.perf_counter() - t0
+
+    assert elapsed < GP_24_BUDGET_S, (
+        f"global placement took {elapsed:.2f}s on a 24x24 grid "
+        f"(budget {GP_24_BUDGET_S}s) — GP loop regression?"
     )
 
 
